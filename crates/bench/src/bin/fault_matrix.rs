@@ -1,17 +1,17 @@
 //! Sweeps the fault × scheduling-mode grid and asserts containment.
 //!
-//! Usage: `fault_matrix [--events N] [--watchdog MS]` (defaults: 20000
-//! events, 250 ms watchdog). For every registered injection site (see
-//! `ibp_sim::faults::SITES`) under each of the three scheduling modes —
-//! sequential, site-shard, component-fold — the harness arms the fault at
-//! its first occurrence, runs a small sweep (plus a cache persist and a
-//! fresh suite build so the I/O sites are on the path), and checks that:
+//! Usage: `fault_matrix [--events N]` (default: 20000 events). For every
+//! registered injection site (see `ibp_sim::faults::SITES`) under each
+//! scheduling mode — materialised suites (one queue item per cell) and
+//! streamed suites (one queue item per benchmark group) — the harness
+//! arms the fault at its first occurrence, runs a small sweep (plus a
+//! cache persist and a fresh suite build so the I/O sites are on the
+//! path), and checks that:
 //!
-//! * the process neither aborts nor hangs (queue waits are bounded by the
-//!   watchdog), and
-//! * the result tables are byte-identical to the unfaulted sequential
+//! * the process does not abort, and
+//! * the result tables are byte-identical to the unfaulted materialised
 //!   baseline — a fault may cost wall time (a `degraded` journal event
-//!   records the fallback), never correctness.
+//!   records the retry or fallback), never correctness.
 //!
 //! Each cell is rated `ok (degraded)` when the fault fired and the engine
 //! logged a degraded event, `ok (contained)` when it fired and was
@@ -28,48 +28,25 @@ use std::process::ExitCode;
 
 use ibp_core::PredictorConfig;
 use ibp_obs as obs;
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine::{self, Sweep};
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::{faults, trace_cache, Suite, SuiteResult};
 use ibp_workload::Benchmark;
 
 const BENCHMARKS: [Benchmark; 2] = [Benchmark::Ixx, Benchmark::Xlisp];
 
 fn usage() -> ! {
-    eprintln!("usage: fault_matrix [--events N] [--watchdog MS]");
+    eprintln!("usage: fault_matrix [--events N]");
     std::process::exit(2);
 }
 
-struct Mode {
-    label: &'static str,
-    shards: ShardPolicy,
-    components: ComponentPolicy,
-}
-
-const MODES: [Mode; 3] = [
-    Mode {
-        label: "sequential",
-        shards: ShardPolicy::Off,
-        components: ComponentPolicy::Off,
-    },
-    Mode {
-        label: "site-shard",
-        shards: ShardPolicy::Fixed(2),
-        components: ComponentPolicy::Off,
-    },
-    Mode {
-        label: "component-fold",
-        shards: ShardPolicy::Off,
-        components: ComponentPolicy::Fixed(2),
-    },
-];
+/// The scheduling modes, as (label, streamed).
+const MODES: [(&str, bool); 2] = [("materialised", false), ("streamed", true)];
 
 /// One full pass: fresh suite (so trace-cache I/O is on the path), the
 /// three-config sweep, and a cache persist (so result-cache I/O is on the
 /// path). Returns the canonical table rendering.
-fn run_pass(events: u64) -> String {
-    let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, events);
+fn run_pass(events: u64, streamed: bool) -> String {
+    let suite = Suite::with_streaming(&BENCHMARKS, events, streamed);
     let results = Sweep::new(&suite)
         .config(PredictorConfig::btb_2bc())
         .config(PredictorConfig::unconstrained(3))
@@ -110,20 +87,15 @@ fn degraded_events(path: &std::path::Path) -> usize {
 
 fn main() -> ExitCode {
     let mut events: u64 = 20_000;
-    let mut watchdog: u64 = 250;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|n| n.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("error: {name} needs a number");
-                    usage()
-                })
-        };
         match arg.as_str() {
-            "--events" => events = num("--events"),
-            "--watchdog" => watchdog = num("--watchdog"),
+            "--events" => {
+                events = args.next().and_then(|n| n.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("error: --events needs a number");
+                    usage()
+                });
+            }
             _ => usage(),
         }
     }
@@ -138,25 +110,21 @@ fn main() -> ExitCode {
     trace_cache::override_policy(Some(true));
 
     eprintln!(
-        "== fault matrix: {} sites x {} modes ({events} events, watchdog {watchdog} ms) ==",
+        "== fault matrix: {} sites x {} modes ({events} events) ==",
         faults::sites().len(),
         MODES.len()
     );
 
-    // Unfaulted sequential baseline: the truth every faulted cell must
+    // Unfaulted materialised baseline: the truth every faulted cell must
     // reproduce byte-identically.
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
     engine::clear_memo_cache();
-    let baseline = run_pass(events);
+    let baseline = run_pass(events, false);
 
     let mut failures = 0usize;
     let mut grid: Vec<(String, Vec<String>)> = Vec::new();
     for site in faults::sites() {
         let mut row = Vec::new();
-        for mode in &MODES {
-            shard::override_policy(Some(mode.shards));
-            component::override_policy(Some(mode.components));
+        for (label, streamed) in MODES {
             // Site prep: make the armed code path reachable again.
             match site.name {
                 // A hit segment skips the write/publish path; purge so
@@ -167,14 +135,12 @@ fn main() -> ExitCode {
                 _ => {}
             }
             engine::clear_memo_cache();
-            let journal: PathBuf =
-                scratch.join(format!("journal-{}-{}.jsonl", mode.label, site.name));
+            let journal: PathBuf = scratch.join(format!("journal-{label}-{}.jsonl", site.name));
             let _ = std::fs::remove_file(&journal);
             obs::journal::install(&journal).expect("install journal");
 
-            faults::override_spec(Some(&format!("{}@1;watchdog={watchdog}", site.name)))
-                .expect("registered site");
-            let table = run_pass(events);
+            faults::override_spec(Some(&format!("{}@1", site.name))).expect("registered site");
+            let table = run_pass(events, streamed);
             let fired = faults::fired(site.name);
             faults::override_spec(None).expect("disarm");
             obs::journal::uninstall();
@@ -193,24 +159,22 @@ fn main() -> ExitCode {
         }
         grid.push((site.name.to_string(), row));
     }
-    shard::override_policy(None);
-    component::override_policy(None);
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
 
-    println!(
-        "{:<20} {:<16} {:<16} {:<16}",
-        "site", MODES[0].label, MODES[1].label, MODES[2].label
-    );
+    println!("{:<20} {:<16} {:<16}", "site", MODES[0].0, MODES[1].0);
     for (site, row) in &grid {
-        println!("{site:<20} {:<16} {:<16} {:<16}", row[0], row[1], row[2]);
+        println!("{site:<20} {:<16} {:<16}", row[0], row[1]);
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
     if failures > 0 {
-        eprintln!("error: {failures} cell(s) diverged from the unfaulted sequential baseline");
+        eprintln!("error: {failures} cell(s) diverged from the unfaulted baseline");
         return ExitCode::FAILURE;
     }
-    eprintln!("all {} cells contained: tables byte-identical to baseline", grid.len() * MODES.len());
+    eprintln!(
+        "all {} cells contained: tables byte-identical to baseline",
+        grid.len() * MODES.len()
+    );
     ExitCode::SUCCESS
 }

@@ -5,10 +5,8 @@
 //! experiment runs twice in-process — once with `FoldKernel` demoted to
 //! the boxed `dyn Predictor` fallback, once with the monomorphized
 //! variants — with the memo cache cleared before each pass so both do the
-//! full simulation work. Site-sharding and the component fold are forced
-//! off for both passes: the point is to isolate the sequential per-event
-//! dispatch cost, and the speedup claim is single-thread. The two table
-//! sets must be byte-identical (the run aborts otherwise); wall time and
+//! full simulation work. Every cell folds on one thread, so the delta is
+//! the per-event dispatch cost. The two table sets must be byte-identical (the run aborts otherwise); wall time and
 //! events/sec go to stderr, `results/kernel_speedup.csv`,
 //! `results/manifest.csv` and, with `IBP_TRACE`, one `kernel_speedup`
 //! journal event per experiment.
@@ -16,11 +14,9 @@
 use std::fs;
 use std::time::Instant;
 
-use ibp_obs as obs;
-use ibp_sim::component::{self, ComponentPolicy};
-use ibp_sim::engine;
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_bench::ExperimentMetrics;
+use ibp_obs as obs;
+use ibp_sim::engine;
 use ibp_sim::override_kernel;
 
 fn usage() -> ! {
@@ -48,12 +44,6 @@ fn main() {
         ids.join(", ")
     );
     let suite = ibp_bench::full_suite();
-
-    // Pin both parallel pipelines off: the legacy-vs-kernel delta is a
-    // sequential per-event dispatch cost, and worker scheduling noise
-    // would drown it.
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
 
     let mut all_metrics: Vec<ExperimentMetrics> = Vec::new();
     let mut csv =
@@ -123,8 +113,6 @@ fn main() {
         all_metrics.extend(passes.into_iter().map(|(_, m, _)| m));
     }
     override_kernel(None);
-    component::override_policy(None);
-    shard::override_policy(None);
 
     match ibp_bench::write_manifest(&all_metrics) {
         Ok(path) => eprintln!("runtime manifest written to {}", path.display()),

@@ -7,9 +7,7 @@
 //! twice — a cold pass that generates and publishes every segment, and a
 //! warm pass that replays them. The result-cache is disabled for the
 //! whole process (`IBP_CACHE=0`) and the in-process memo cache cleared
-//! before each pass, so neither can mask the trace work; site-sharding
-//! and the component fold are forced off because the speedup claim is
-//! single-thread. The two table sets must be byte-identical and the warm
+//! before each pass, so neither can mask the trace work. The two table sets must be byte-identical and the warm
 //! pass must be 100 % trace-cache hits (the run aborts otherwise). The
 //! headline number is the suite *generation-phase* speedup (cold
 //! generate-and-encode vs warm decode); end-to-end wall time for both
@@ -22,9 +20,7 @@ use std::time::{Duration, Instant};
 
 use ibp_bench::ExperimentMetrics;
 use ibp_obs as obs;
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine;
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::trace_cache::{self, TraceCacheStats};
 
 fn usage() -> ! {
@@ -61,12 +57,10 @@ fn main() {
         .collect();
 
     eprintln!(
-        "== trace-cache speedup: {} (cold generate vs warm replay, single-thread) ==",
+        "== trace-cache speedup: {} (cold generate vs warm replay) ==",
         ids.join(", ")
     );
 
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
     // Engage the cache regardless of IBP_TRACE_CACHE and the event
     // threshold: this binary exists to measure it.
     trace_cache::override_policy(Some(true));
@@ -183,8 +177,6 @@ fn main() {
     }
 
     trace_cache::override_policy(None);
-    component::override_policy(None);
-    shard::override_policy(None);
 
     let all_metrics: Vec<ExperimentMetrics> = cold
         .metrics

@@ -43,6 +43,33 @@ fn repro_all_journals_one_root_span_per_experiment() {
     let records = read_journal(&journal).expect("parse journal");
     assert_eq!(records[0].kind, Kind::Meta, "journal starts with the run header");
 
+    // The header says by itself what produced the run: identity, core
+    // count, commit (when the working directory is a git work tree) and
+    // every IBP_* knob in effect.
+    let meta = &records[0];
+    assert!(meta.field_str("run_id").is_some());
+    assert!(meta.field_u64("pid").is_some());
+    assert!(meta
+        .field_u64("available_parallelism")
+        .is_some_and(|n| n >= 1));
+    let git_known = Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .is_ok_and(|o| o.status.success());
+    if git_known {
+        assert!(
+            meta.field_str("commit").is_some_and(|c| c.len() >= 40),
+            "commit recorded inside a work tree"
+        );
+    }
+    let knobs = meta.field("env").expect("env object in the header");
+    assert_eq!(knobs.get("IBP_EVENTS").and_then(Json::as_str), Some("2000"));
+    assert_eq!(
+        knobs.get("IBP_RESULTS").and_then(Json::as_str),
+        dir.to_str(),
+        "every IBP_* variable is recorded"
+    );
+
     // Exactly one root `experiment` span per experiment, carrying the
     // engine-counter attribution fields.
     let roots: Vec<_> = records
@@ -80,7 +107,7 @@ fn repro_all_journals_one_root_span_per_experiment() {
     let header = manifest.lines().next().expect("manifest header");
     assert_eq!(
         header,
-        "experiment,wall_seconds,cache_hits,cache_misses,persistent_hits,hit_rate_pct,simulated_events,events_per_sec,sharded_cells,component_cells,trace_hits,trace_misses,peak_rss_mb"
+        "experiment,wall_seconds,cache_hits,cache_misses,persistent_hits,hit_rate_pct,simulated_events,events_per_sec,trace_hits,trace_misses,peak_rss_mb"
     );
     assert_eq!(manifest.lines().count(), experiments.len() + 1);
 

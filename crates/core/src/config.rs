@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use ibp_trace::Addr;
-
 use crate::history::{HistoryElement, HistorySharing, MAX_PATH};
 use crate::hybrid::HybridPredictor;
 use crate::interleave::Interleaving;
 use crate::kernel::FoldKernel;
 use crate::key::{CompressedKeySpec, KeyScheme, TableSharing};
-use crate::meta::{BpstMetaPredictor, MetaSpec};
+use crate::meta::BpstMetaPredictor;
 use crate::pattern::PatternCompressor;
 use crate::predictor::{Predictor, UpdateRule};
 use crate::two_level::TwoLevelPredictor;
@@ -377,137 +375,6 @@ impl PredictorConfig {
         self.path_len
     }
 
-    /// Whether this configuration's predictor state partitions disjointly
-    /// by branch site, and if so at which granularity.
-    ///
-    /// A sharded simulator may route events to independent workers — each
-    /// owning one partition of predictor state — and merge per-shard stats
-    /// into results identical to a sequential fold, **iff** no two sites in
-    /// different partitions can ever read or write the same state. Three
-    /// parameters decide that:
-    ///
-    /// * **table bound** — a bounded table ([`with_entries`]) interleaves
-    ///   replacement decisions across all sites: evicting site A's entry
-    ///   depends on when site B inserted. Only unbounded tables partition.
-    /// * **history sharing `s`** — for path lengths above zero, branches
-    ///   with the same `pc >> s` share a history register; `s = 31`
-    ///   (global) chains every site together. BTBs and `p = 0` components
-    ///   never read the history, so it does not constrain them.
-    /// * **table sharing `h` and the key scheme** — entries must be
-    ///   reachable from only one site region. Full-precision keys carry
-    ///   `pc >> h` as a distinct field and concatenated compressed keys
-    ///   give it disjoint bits, so both partition at granularity `h` (when
-    ///   `h < 31`). A gshare-**xor** key with a non-empty pattern folds the
-    ///   address into the pattern bits: two sites in different regions can
-    ///   alias to one entry, so such configs never shard.
-    ///
-    /// The resulting [`ShardRouting`] routes by `pc >> max(s, h)` (taking
-    /// only the constraints that apply); hybrid and BPST configs must
-    /// satisfy all of this for both components (BPST selector counters are
-    /// per-branch and never constrain). Returns `None` when any condition
-    /// fails — callers fall back to the sequential fold.
-    ///
-    /// [`with_entries`]: PredictorConfig::with_entries
-    #[must_use]
-    pub fn shardable(&self) -> Option<ShardRouting> {
-        if self.entries.is_some() {
-            return None;
-        }
-        let mut exponent = 0u32;
-        let mut routes_cond = false;
-        let path_lens: &[usize] = match self.kind {
-            PredictorKind::Btb | PredictorKind::TwoLevel => &[self.path_len][..],
-            PredictorKind::Hybrid | PredictorKind::Bpst => &[self.path_len, self.path_len2][..],
-        };
-        for &p in path_lens {
-            // Key aliasing: full-precision and concatenated keys keep the
-            // address component separable; xor keys only when the pattern
-            // is empty (p = 0 — the key degenerates to the bare address).
-            let separable = self.full_precision.is_some()
-                || p == 0
-                || self.scheme == KeyScheme::Concat;
-            if !separable || self.table_sharing.h() >= 31 {
-                return None;
-            }
-            exponent = exponent.max(self.table_sharing.h());
-            if p > 0 {
-                // The component reads its history register.
-                if self.history_sharing.is_global() {
-                    return None;
-                }
-                exponent = exponent.max(self.history_sharing.s());
-                // Conditional targets feed the same per-set registers, so
-                // they must follow the same routing.
-                routes_cond |= self.include_cond;
-            }
-        }
-        Some(ShardRouting {
-            exponent,
-            routes_cond,
-        })
-    }
-
-    /// Splits a hybrid configuration into its two component configurations
-    /// plus the metapredictor specification that arbitrates them. Returns
-    /// `None` for non-hybrid kinds and for invalid configurations.
-    ///
-    /// Each component config is this config with the kind forced to
-    /// [`PredictorKind::TwoLevel`] and one of the pair's path lengths, so
-    /// `component.try_build_two_level()` constructs *exactly* the
-    /// predictor [`try_build`](PredictorConfig::try_build) would embed in
-    /// the hybrid. That is the foundation of the component-parallel fold
-    /// (`ibp_sim::component`): fold each component independently, then
-    /// replay the recorded lookups through a
-    /// [`MetaState`](crate::MetaState) built from the returned
-    /// [`MetaSpec`] — the result is byte-identical to the sequential
-    /// hybrid fold.
-    #[must_use]
-    pub fn decompose(&self) -> Option<Decomposition> {
-        let meta = match self.kind {
-            PredictorKind::Hybrid => MetaSpec::Confidence,
-            // The BPST selector width is not a config knob; `try_build`
-            // always constructs the default 2-bit selectors.
-            PredictorKind::Bpst => MetaSpec::Bpst { selector_bits: 2 },
-            PredictorKind::Btb | PredictorKind::TwoLevel => return None,
-        };
-        self.validate().ok()?;
-        let component = |path_len: usize| {
-            let mut c = self.clone();
-            c.kind = PredictorKind::TwoLevel;
-            c.path_len = path_len;
-            c.path_len2 = 0;
-            c
-        };
-        Some(Decomposition {
-            first: component(self.path_len),
-            second: component(self.path_len2),
-            meta,
-        })
-    }
-
-    /// Builds the typed two-level predictor for a non-hybrid
-    /// configuration. Component workers use this instead of
-    /// [`build`](PredictorConfig::build) because they need
-    /// [`TwoLevelPredictor::lookup`] — the confidence-carrying variant of
-    /// `predict` that the metapredictor replay consumes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for invalid parameter combinations, or
-    /// [`ConfigError::Unrepresentable`] for hybrid kinds (decompose those
-    /// first).
-    pub fn try_build_two_level(&self) -> Result<TwoLevelPredictor, ConfigError> {
-        match self.kind {
-            PredictorKind::Btb | PredictorKind::TwoLevel => {
-                self.validate()?;
-                self.build_component(self.path_len)
-            }
-            PredictorKind::Hybrid | PredictorKind::Bpst => Err(ConfigError::Unrepresentable(
-                "a hybrid is not a single two-level component",
-            )),
-        }
-    }
-
     /// A canonical identity string covering *every* parameter of this
     /// configuration: two configs with the same key build predictors with
     /// identical behaviour, so simulation results may be memoized under it
@@ -683,71 +550,10 @@ impl PredictorConfig {
     }
 }
 
-/// A hybrid configuration split into its parts by
-/// [`PredictorConfig::decompose`]: the two component configurations (each
-/// a standalone [`PredictorKind::TwoLevel`] config) plus the metapredictor
-/// specification that arbitrates between them per event.
-#[derive(Debug, Clone)]
-pub struct Decomposition {
-    /// The tie-winning component ("p1" of a `p1.p2` pair).
-    pub first: PredictorConfig,
-    /// The other component.
-    pub second: PredictorConfig,
-    /// What arbitrates per-event between the components' predictions.
-    pub meta: MetaSpec,
-}
-
-/// How to route trace events to shard workers for a configuration that
-/// passed [`PredictorConfig::shardable`].
-///
-/// Two branch sites whose addresses agree above the exponent —
-/// `pc >> exponent` equal — may share predictor state and must land on the
-/// same shard; [`shard_of`](ShardRouting::shard_of) guarantees that while
-/// spreading site regions evenly over the workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRouting {
-    exponent: u32,
-    routes_cond: bool,
-}
-
-impl ShardRouting {
-    /// The sharing granularity: sites with equal `pc >> exponent` must stay
-    /// together.
-    #[must_use]
-    pub fn exponent(&self) -> u32 {
-        self.exponent
-    }
-
-    /// Whether conditional-branch events must be routed like indirect ones
-    /// (they feed per-set histories); when `false` a sharded consumer may
-    /// drop them — `observe_cond` is a no-op for the configuration.
-    #[must_use]
-    pub fn routes_cond(&self) -> bool {
-        self.routes_cond
-    }
-
-    /// The worker index in `0..shards` for a branch at `pc`.
-    ///
-    /// Deterministic in `(pc, shards)`: the site region id is mixed with a
-    /// Fibonacci multiplier so consecutive regions (the common layout of
-    /// generated call sites) do not all collapse onto shard
-    /// `region % shards`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn shard_of(&self, pc: Addr, shards: usize) -> usize {
-        assert!(shards > 0, "shard_of needs at least one shard");
-        let region = u64::from(pc.set_id(self.exponent));
-        let mixed = region.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-        (mixed % shards as u64) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibp_trace::Addr;
 
     fn a(raw: u32) -> Addr {
         Addr::new(raw)
@@ -862,37 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn decompose_covers_hybrid_kinds_only() {
-        assert!(PredictorConfig::btb().decompose().is_none());
-        assert!(PredictorConfig::practical(3, 1024, 4).decompose().is_none());
-        let d = PredictorConfig::hybrid(6, 2, 4096, 4)
-            .decompose()
-            .expect("hybrids decompose");
-        assert_eq!(d.meta, MetaSpec::Confidence);
-        assert_eq!(d.first.kind(), PredictorKind::TwoLevel);
-        assert_eq!(d.first.path_len(), 6);
-        assert_eq!(d.second.path_len(), 2);
-        let d = PredictorConfig::bpst(3, 1, 512, 4).decompose().expect("bpst");
-        assert_eq!(d.meta, MetaSpec::Bpst { selector_bits: 2 });
-        // Invalid configs do not decompose.
-        assert!(PredictorConfig::hybrid(3, 1, 1000, 4).decompose().is_none());
-    }
-
-    #[test]
-    fn decomposed_components_build_the_embedded_predictors() {
-        let cfg = PredictorConfig::hybrid(6, 2, 4096, 4);
-        let d = cfg.decompose().expect("decomposes");
-        let first = d.first.try_build_two_level().expect("first builds");
-        let second = d.second.try_build_two_level().expect("second builds");
-        let hybrid = cfg.build();
-        // Rebuilding the hybrid from the decomposed components reproduces
-        // the sequential predictor exactly (name covers every knob the
-        // component builder reads).
-        assert_eq!(HybridPredictor::new(first, second).name(), hybrid.name());
-        assert!(cfg.try_build_two_level().is_err());
-    }
-
-    #[test]
     fn btb_rules_differ() {
         // BTB replaces on one miss; BTB-2bc needs two.
         let mut btb = PredictorConfig::btb().build();
@@ -909,121 +684,5 @@ mod tests {
     fn precision_setting_builds() {
         let p = PredictorConfig::unconstrained(8).with_precision(2).build();
         assert!(p.name().contains("2-bit"));
-    }
-
-    #[test]
-    fn btb_shards_by_table_region() {
-        // p = 0: the history never constrains, the xor key degenerates to
-        // the bare address. Routes at h = 2, ignores conditionals.
-        for cfg in [PredictorConfig::btb(), PredictorConfig::btb_2bc()] {
-            let r = cfg.shardable().expect("unbounded BTB shards");
-            assert_eq!(r.exponent(), 2);
-            assert!(!r.routes_cond());
-        }
-    }
-
-    #[test]
-    fn bounded_tables_never_shard() {
-        assert!(PredictorConfig::btb_bounded(256).shardable().is_none());
-        assert!(PredictorConfig::practical(3, 1024, 4).shardable().is_none());
-        assert!(PredictorConfig::hybrid(3, 1, 512, 4).shardable().is_none());
-    }
-
-    #[test]
-    fn global_history_never_shards_at_positive_path_length() {
-        // The presets default to global history.
-        assert!(PredictorConfig::unconstrained(8).shardable().is_none());
-        assert!(PredictorConfig::compressed_unbounded(3).shardable().is_none());
-    }
-
-    #[test]
-    fn per_set_history_shards_at_the_coarser_exponent() {
-        let r = PredictorConfig::unconstrained(8)
-            .with_history_sharing(HistorySharing::per_set(9))
-            .shardable()
-            .expect("per-set full-precision config shards");
-        assert_eq!(r.exponent(), 9, "max(s = 9, h = 2)");
-        let r = PredictorConfig::unconstrained(4)
-            .with_history_sharing(HistorySharing::PER_ADDRESS)
-            .with_table_sharing(TableSharing::per_set(12))
-            .shardable()
-            .expect("h above s");
-        assert_eq!(r.exponent(), 12, "max(s = 2, h = 12)");
-    }
-
-    #[test]
-    fn xor_keys_with_patterns_never_shard() {
-        // A gshare-xor key folds the address into the pattern bits: sites
-        // in different regions can alias to one unbounded-table entry.
-        let cfg = PredictorConfig::compressed_unbounded(3)
-            .with_history_sharing(HistorySharing::PER_ADDRESS);
-        assert!(cfg.shardable().is_none());
-        // The same config with disjoint (concatenated) address bits shards.
-        let r = cfg
-            .with_key_scheme(KeyScheme::Concat)
-            .shardable()
-            .expect("concat keys keep regions disjoint");
-        assert_eq!(r.exponent(), 2);
-    }
-
-    #[test]
-    fn global_table_sharing_never_shards() {
-        let cfg = PredictorConfig::unconstrained(0).with_table_sharing(TableSharing::GLOBAL);
-        assert!(cfg.shardable().is_none());
-    }
-
-    #[test]
-    fn cond_targets_route_only_when_histories_consume_them() {
-        let base = PredictorConfig::unconstrained(6)
-            .with_history_sharing(HistorySharing::per_set(4));
-        assert!(!base.clone().shardable().expect("shards").routes_cond());
-        assert!(base
-            .with_cond_targets(true)
-            .shardable()
-            .expect("still shards")
-            .routes_cond());
-        // p = 0 ignores history entirely, conditionals included.
-        assert!(!PredictorConfig::btb()
-            .with_cond_targets(true)
-            .shardable()
-            .expect("shards")
-            .routes_cond());
-    }
-
-    #[test]
-    fn hybrid_components_must_both_shard() {
-        // Unbounded concat hybrid with per-set history: both components
-        // satisfy the conditions.
-        let mut ok = PredictorConfig::hybrid(3, 1, 512, 4)
-            .with_unbounded_table()
-            .with_key_scheme(KeyScheme::Concat)
-            .with_history_sharing(HistorySharing::per_set(5));
-        assert_eq!(ok.shardable().expect("shards").exponent(), 5);
-        // Flip one shared parameter and both components fail together.
-        ok = ok.with_history_sharing(HistorySharing::GLOBAL);
-        assert!(ok.shardable().is_none());
-    }
-
-    #[test]
-    fn shard_of_is_deterministic_and_in_range() {
-        let r = PredictorConfig::btb().shardable().expect("shards");
-        for shards in [1usize, 2, 4, 7] {
-            for i in 0..200u32 {
-                let pc = a(0x1000 + 8 * i);
-                let s1 = r.shard_of(pc, shards);
-                assert!(s1 < shards);
-                assert_eq!(s1, r.shard_of(pc, shards));
-            }
-        }
-    }
-
-    #[test]
-    fn shard_of_keeps_a_site_region_together() {
-        let r = PredictorConfig::unconstrained(3)
-            .with_history_sharing(HistorySharing::per_set(8))
-            .shardable()
-            .expect("shards");
-        // Two addresses in one 2^8-byte region always co-locate.
-        assert_eq!(r.shard_of(a(0x4200), 7), r.shard_of(a(0x42FC), 7));
     }
 }

@@ -62,11 +62,6 @@ impl HybridPredictor {
     /// The metaprediction rule: picks the hit with the higher confidence,
     /// first component winning ties. A component that misses never wins
     /// over one that hits.
-    ///
-    /// Public because it is *the* confidence-arbitration rule: the
-    /// component-parallel merge fold ([`MetaState`](crate::MetaState))
-    /// replays recorded component lookups through this same function, which
-    /// is what makes its result byte-identical to the sequential hybrid.
     #[must_use]
     pub fn select(first: Option<TableHit>, second: Option<TableHit>) -> Option<TableHit> {
         match (first, second) {
@@ -153,9 +148,8 @@ impl Predictor for HybridPredictor {
 
 impl StructuralSnapshot for HybridPredictor {
     fn structural_snapshot(&self) -> Snapshot {
-        // Components in (first, second) order — the same order the
-        // component-parallel fold assembles its merged snapshot in. A plain
-        // concat (not `absorb`) keeps p1 == p2 hybrids as two components.
+        // Components in (first, second) order. A plain concat keeps
+        // p1 == p2 hybrids as two components.
         let mut snap = self.first.structural_snapshot();
         snap.components
             .extend(self.second.structural_snapshot().components);

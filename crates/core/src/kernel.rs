@@ -53,29 +53,13 @@ pub trait ProbeSink {
     fn sample(&mut self, point: &str, predictor: &dyn Predictor);
 }
 
-/// When the attached [`ProbeSink`] takes its "warm" sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmTrigger {
-    /// On the event where the warmup countdown reaches zero, after that
-    /// event's training — the sequential fold's `seen == warmup` point.
-    /// Never fires when the warmup is zero.
-    AtCrossing,
-    /// Immediately before the first scored event — the sharded fold's
-    /// convention, where each worker sees only its own slice of the global
-    /// warmup prefix. Callers that never score sample at exit instead (see
-    /// [`ChunkScorer::warm_pending`]).
-    BeforeFirstScored,
-}
-
 /// The probe half of a [`ChunkScorer`].
 struct ScorerProbe<'a> {
     sink: &'a mut dyn ProbeSink,
     fingerprints: bool,
-    warm: WarmTrigger,
     /// Deep interval-sample spacing in scored events, or `None` for no
     /// interval samples.
     interval: Option<u64>,
-    warm_pending: bool,
 }
 
 /// Fold state threaded through [`FoldKernel::fold_chunk`]: the warmup
@@ -105,15 +89,12 @@ impl<'a> ChunkScorer<'a> {
         }
     }
 
-    /// A scorer that reports every event into `sink`, sampling "warm" per
-    /// `warm` and "interval" every `interval` scored events (when deep).
+    /// A scorer that reports every event into `sink`, sampling "warm" on
+    /// the event where the warmup countdown reaches zero (after that
+    /// event's training; never when the warmup is zero) and "interval"
+    /// every `interval` scored events (when deep).
     #[must_use]
-    pub fn probed(
-        warmup: u64,
-        sink: &'a mut dyn ProbeSink,
-        warm: WarmTrigger,
-        interval: Option<u64>,
-    ) -> Self {
+    pub fn probed(warmup: u64, sink: &'a mut dyn ProbeSink, interval: Option<u64>) -> Self {
         let fingerprints = sink.wants_fingerprint();
         ChunkScorer {
             to_warm: warmup,
@@ -123,25 +104,9 @@ impl<'a> ChunkScorer<'a> {
             probe: Some(ScorerProbe {
                 sink,
                 fingerprints,
-                warm,
                 interval,
-                warm_pending: warm == WarmTrigger::BeforeFirstScored,
             }),
         }
-    }
-
-    /// Overrides the remaining warmup countdown — the sharded fold sets
-    /// this per batch, since each batch carries its own share of the global
-    /// warmup prefix.
-    pub fn set_warmup(&mut self, warmup: u64) {
-        self.to_warm = warmup;
-    }
-
-    /// Whether a [`WarmTrigger::BeforeFirstScored`] warm sample is still
-    /// outstanding (the fold never scored); such callers sample at exit.
-    #[must_use]
-    pub fn warm_pending(&self) -> bool {
-        self.probe.as_ref().is_some_and(|p| p.warm_pending)
     }
 
     /// Scored indirect branches so far.
@@ -226,10 +191,6 @@ where
                         };
                         // This event exhausts the warmup prefix.
                         let crossed = !scored && *to_warm == 0;
-                        if scored && probe.warm_pending {
-                            probe.warm_pending = false;
-                            probe.sink.sample("warm", p.as_dyn_predictor());
-                        }
                         let fp = if probe.fingerprints {
                             p.probe_key_fingerprint(b.pc)
                         } else {
@@ -246,9 +207,7 @@ where
                         }
                         probe.sink.note_trained(fp);
                         if crossed {
-                            if probe.warm == WarmTrigger::AtCrossing {
-                                probe.sink.sample("warm", p.as_dyn_predictor());
-                            }
+                            probe.sink.sample("warm", p.as_dyn_predictor());
                         } else if scored {
                             if let Some(n) = probe.interval {
                                 if scored_seen.is_multiple_of(n) {

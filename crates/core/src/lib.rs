@@ -65,18 +65,14 @@ pub mod table;
 mod two_level;
 
 pub use btb::Btb;
-pub use config::{
-    Associativity, ConfigError, Decomposition, PredictorConfig, PredictorKind, ShardRouting,
-};
+pub use config::{Associativity, ConfigError, PredictorConfig, PredictorKind};
 pub use counter::SaturatingCounter;
 pub use history::{Histories, HistoryElement, HistoryRegister, HistorySharing, MAX_PATH};
 pub use hybrid::HybridPredictor;
 pub use interleave::Interleaving;
-pub use kernel::{
-    fold_dyn_chunk, fold_two_level_chunk, ChunkScorer, FoldKernel, ProbeSink, WarmTrigger,
-};
+pub use kernel::{fold_dyn_chunk, fold_two_level_chunk, ChunkScorer, FoldKernel, ProbeSink};
 pub use key::{CompressedKeySpec, FullKey, KeyScheme, TableSharing};
-pub use meta::{BpstMetaPredictor, MetaSpec, MetaState};
+pub use meta::BpstMetaPredictor;
 pub use pattern::PatternCompressor;
 pub use predictor::{Predictor, UpdateRule};
 pub use snapshot::{

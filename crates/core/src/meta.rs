@@ -1,168 +1,14 @@
-//! BPST metaprediction (§6.1 alternative) and the replayable
-//! metapredictor state shared with the component-parallel merge fold.
+//! BPST metaprediction (§6.1 alternative).
 
 use std::collections::HashMap;
 
 use ibp_trace::Addr;
 
 use crate::counter::SaturatingCounter;
-use crate::hybrid::HybridPredictor;
 use crate::predictor::Predictor;
 use crate::snapshot::{Snapshot, StructuralSnapshot};
 use crate::table::TableHit;
 use crate::two_level::TwoLevelPredictor;
-
-/// Which metapredictor arbitrates between a hybrid's two components.
-///
-/// Produced by [`PredictorConfig::decompose`](crate::PredictorConfig::decompose)
-/// and consumed by [`MetaState`], which replays recorded component lookups
-/// through exactly the arbitration the sequential predictor uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaSpec {
-    /// Per-entry confidence counters (§6): the hit with the higher
-    /// confidence wins, first component winning ties. Stateless — the
-    /// confidence lives inside the component tables.
-    Confidence,
-    /// A branch predictor selection table (McFarling-style): one
-    /// `selector_bits`-wide counter per branch site tracks which component
-    /// has been more accurate there lately.
-    Bpst {
-        /// Selector counter width in bits (`1..=7`).
-        selector_bits: u8,
-    },
-}
-
-/// Replayable metapredictor state.
-///
-/// The component-parallel fold records each component's *pre-update* table
-/// lookup per indirect event; feeding those records through
-/// [`replay`](MetaState::replay) in event order reproduces, bit for bit,
-/// the prediction stream of the sequential [`HybridPredictor`] or
-/// [`BpstMetaPredictor`] — the confidence rule is literally
-/// [`HybridPredictor::select`], and the BPST selector table here *is* the
-/// one `BpstMetaPredictor` owns.
-#[derive(Debug, Clone)]
-pub struct MetaState {
-    spec: MetaSpec,
-    selectors: HashMap<u32, SaturatingCounter>,
-}
-
-impl MetaState {
-    /// Fresh state for the given arbitration scheme. BPST selectors start
-    /// low, i.e. preferring the first component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`MetaSpec::Bpst`] selector width is outside `1..=7`.
-    #[must_use]
-    pub fn new(spec: MetaSpec) -> Self {
-        if let MetaSpec::Bpst { selector_bits } = spec {
-            assert!((1..=7).contains(&selector_bits));
-        }
-        MetaState {
-            spec,
-            selectors: HashMap::new(),
-        }
-    }
-
-    /// The arbitration scheme this state implements.
-    #[must_use]
-    pub fn spec(&self) -> MetaSpec {
-        self.spec
-    }
-
-    /// Whether the selector table currently prefers the second component
-    /// for this branch. Always `false` under [`MetaSpec::Confidence`],
-    /// which has no per-branch state.
-    #[must_use]
-    pub fn prefers_second(&self, pc: Addr) -> bool {
-        matches!(self.spec, MetaSpec::Bpst { .. })
-            && self.selectors.get(&pc.word()).is_some_and(|c| c.is_high())
-    }
-
-    /// Arbitrates the two components' lookup results without touching
-    /// state: the sequential predictor's `predict`, expressed over
-    /// recorded lookups.
-    #[must_use]
-    pub fn arbitrate(
-        &self,
-        pc: Addr,
-        first: Option<TableHit>,
-        second: Option<TableHit>,
-    ) -> Option<Addr> {
-        match self.spec {
-            MetaSpec::Confidence => HybridPredictor::select(first, second).map(|h| h.target),
-            MetaSpec::Bpst { .. } => {
-                let (chosen, other) = if self.prefers_second(pc) {
-                    (second, first)
-                } else {
-                    (first, second)
-                };
-                // Fall back to the other component when the chosen one
-                // misses.
-                chosen.map(|h| h.target).or(other.map(|h| h.target))
-            }
-        }
-    }
-
-    /// Trains the selector toward the component that was (exclusively)
-    /// correct. No-op under [`MetaSpec::Confidence`].
-    pub fn observe(&mut self, pc: Addr, first_correct: bool, second_correct: bool) {
-        let MetaSpec::Bpst { selector_bits } = self.spec else {
-            return;
-        };
-        if first_correct != second_correct {
-            let c = self
-                .selectors
-                .entry(pc.word())
-                .or_insert_with(|| SaturatingCounter::new(selector_bits));
-            if second_correct {
-                c.increment();
-            } else {
-                c.decrement();
-            }
-        }
-    }
-
-    /// One indirect event of the merge fold: arbitrates the recorded
-    /// pre-update lookups, then trains the selector against `actual` —
-    /// the same read-then-train order as the sequential
-    /// `predict`/`update` pair.
-    pub fn replay(
-        &mut self,
-        pc: Addr,
-        first: Option<TableHit>,
-        second: Option<TableHit>,
-        actual: Addr,
-    ) -> Option<Addr> {
-        let predicted = self.arbitrate(pc, first, second);
-        self.observe(
-            pc,
-            first.map(|h| h.target) == Some(actual),
-            second.map(|h| h.target) == Some(actual),
-        );
-        predicted
-    }
-
-    /// Clears the selector table.
-    pub fn reset(&mut self) {
-        self.selectors.clear();
-    }
-
-    /// Histogram of selector-counter values, indexed by value. Empty under
-    /// [`MetaSpec::Confidence`] (no selector state exists).
-    #[must_use]
-    pub fn selector_histogram(&self) -> Vec<u64> {
-        let MetaSpec::Bpst { selector_bits } = self.spec else {
-            return Vec::new();
-        };
-        let mut hist = vec![0u64; 1usize << selector_bits];
-        for c in self.selectors.values() {
-            hist[c.value() as usize] += 1;
-        }
-        hist
-    }
-}
 
 /// A hybrid predictor arbitrated by a branch predictor selection table
 /// (BPST, McFarling-style) instead of per-entry confidence counters.
@@ -180,7 +26,8 @@ impl MetaState {
 pub struct BpstMetaPredictor {
     first: TwoLevelPredictor,
     second: TwoLevelPredictor,
-    meta: MetaState,
+    selector_bits: u8,
+    selectors: HashMap<u32, SaturatingCounter>,
 }
 
 impl BpstMetaPredictor {
@@ -203,10 +50,12 @@ impl BpstMetaPredictor {
         second: TwoLevelPredictor,
         selector_bits: u8,
     ) -> Self {
+        assert!((1..=7).contains(&selector_bits));
         BpstMetaPredictor {
             first,
             second,
-            meta: MetaState::new(MetaSpec::Bpst { selector_bits }),
+            selector_bits,
+            selectors: HashMap::new(),
         }
     }
 
@@ -214,7 +63,50 @@ impl BpstMetaPredictor {
     /// for this branch.
     #[must_use]
     pub fn prefers_second(&self, pc: Addr) -> bool {
-        self.meta.prefers_second(pc)
+        self.selectors.get(&pc.word()).is_some_and(|c| c.is_high())
+    }
+
+    /// Arbitrates the two components' lookup results without touching
+    /// state: the selected component answers, falling back to the other
+    /// when it misses.
+    fn arbitrate(
+        &self,
+        pc: Addr,
+        first: Option<TableHit>,
+        second: Option<TableHit>,
+    ) -> Option<Addr> {
+        let (chosen, other) = if self.prefers_second(pc) {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        chosen.map(|h| h.target).or(other.map(|h| h.target))
+    }
+
+    /// Moves the selector toward the component that was (exclusively)
+    /// correct, as in McFarling's combining scheme.
+    fn observe(&mut self, pc: Addr, first_correct: bool, second_correct: bool) {
+        if first_correct != second_correct {
+            let bits = self.selector_bits;
+            let c = self
+                .selectors
+                .entry(pc.word())
+                .or_insert_with(|| SaturatingCounter::new(bits));
+            if second_correct {
+                c.increment();
+            } else {
+                c.decrement();
+            }
+        }
+    }
+
+    /// Histogram of selector-counter values, indexed by value.
+    fn selector_histogram(&self) -> Vec<u64> {
+        let mut hist = vec![0u64; 1usize << self.selector_bits];
+        for c in self.selectors.values() {
+            hist[c.value() as usize] += 1;
+        }
+        hist
     }
 
     /// One fused simulation step. Both components always run a fused
@@ -228,11 +120,11 @@ impl BpstMetaPredictor {
         let first = self.first.fused_step(pc, actual, true);
         let second = self.second.fused_step(pc, actual, true);
         let predicted = if want_lookup {
-            self.meta.arbitrate(pc, first, second)
+            self.arbitrate(pc, first, second)
         } else {
             None
         };
-        self.meta.observe(
+        self.observe(
             pc,
             first.map(|h| h.target) == Some(actual),
             second.map(|h| h.target) == Some(actual),
@@ -243,16 +135,13 @@ impl BpstMetaPredictor {
 
 impl Predictor for BpstMetaPredictor {
     fn predict(&self, pc: Addr) -> Option<Addr> {
-        self.meta
-            .arbitrate(pc, self.first.lookup(pc), self.second.lookup(pc))
+        self.arbitrate(pc, self.first.lookup(pc), self.second.lookup(pc))
     }
 
     fn update(&mut self, pc: Addr, actual: Addr) {
         let first_correct = self.first.predict(pc) == Some(actual);
         let second_correct = self.second.predict(pc) == Some(actual);
-        // Move the selector toward the component that was (exclusively)
-        // correct, as in McFarling's combining scheme.
-        self.meta.observe(pc, first_correct, second_correct);
+        self.observe(pc, first_correct, second_correct);
         self.first.update(pc, actual);
         self.second.update(pc, actual);
     }
@@ -265,7 +154,7 @@ impl Predictor for BpstMetaPredictor {
     fn reset(&mut self) {
         self.first.reset();
         self.second.reset();
-        self.meta.reset();
+        self.selectors.clear();
     }
 
     fn name(&self) -> String {
@@ -295,7 +184,7 @@ impl StructuralSnapshot for BpstMetaPredictor {
         let mut snap = self.first.structural_snapshot();
         snap.components
             .extend(self.second.structural_snapshot().components);
-        snap.selectors = self.meta.selector_histogram();
+        snap.selectors = self.selector_histogram();
         snap
     }
 }
@@ -371,52 +260,5 @@ mod tests {
     fn name_mentions_both_paths() {
         let m = pair(3, 1);
         assert!(m.name().starts_with("bpst p=3.1"));
-    }
-
-    #[test]
-    fn confidence_meta_state_matches_select_and_is_stateless() {
-        let hit = |t: u32, c: u8| {
-            Some(TableHit {
-                target: a(t),
-                confidence: c,
-            })
-        };
-        let mut m = MetaState::new(MetaSpec::Confidence);
-        assert_eq!(m.spec(), MetaSpec::Confidence);
-        // Strictly-greater second wins, ties go first, misses never win.
-        assert_eq!(
-            m.replay(a(0x100), hit(0x900, 1), hit(0xA00, 2), a(0x900)),
-            Some(a(0xA00))
-        );
-        assert_eq!(
-            m.replay(a(0x100), hit(0x900, 2), hit(0xA00, 2), a(0x900)),
-            Some(a(0x900))
-        );
-        assert_eq!(m.replay(a(0x100), None, hit(0xA00, 0), a(0x900)), Some(a(0xA00)));
-        assert_eq!(m.replay(a(0x100), None, None, a(0x900)), None);
-        // No per-branch state accrues.
-        assert!(!m.prefers_second(a(0x100)));
-    }
-
-    #[test]
-    fn bpst_meta_state_replay_matches_predictor() {
-        // Drive the sequential BPST and a MetaState replay with the same
-        // event stream; predictions must agree at every step.
-        let mut seq = pair(0, 1);
-        let mut first = TwoLevelPredictor::unconstrained(0, HistorySharing::GLOBAL);
-        let mut second = TwoLevelPredictor::unconstrained(1, HistorySharing::GLOBAL);
-        let mut meta = MetaState::new(MetaSpec::Bpst { selector_bits: 2 });
-        let site = a(0x100);
-        for i in 0..32u32 {
-            let actual = if i % 2 == 0 { a(0x900) } else { a(0xA00) };
-            let expected = seq.predict(site);
-            let got = meta.arbitrate(site, first.lookup(site), second.lookup(site));
-            assert_eq!(got, expected, "step {i}");
-            meta.replay(site, first.lookup(site), second.lookup(site), actual);
-            seq.update(site, actual);
-            first.update(site, actual);
-            second.update(site, actual);
-        }
-        assert!(meta.prefers_second(site));
     }
 }

@@ -9,7 +9,10 @@
 //! * anything else — treated as the journal file path.
 //!
 //! Each journal line is one JSON object (see [`Record`] for the parsed
-//! form). The first line is a `meta` record identifying the run; a
+//! form). The first line is a `meta` record identifying the run and what
+//! produced it (run id, timestamps, pid, `available_parallelism`, the git
+//! commit when the working directory is inside a work tree, and every
+//! `IBP_*` variable in the environment); a
 //! [`flush`](crate::flush) at the end of a run appends a `metrics` record
 //! with the full registry snapshot. Lines are flushed as they are written —
 //! record volume is per-cell/per-worker, not per simulated event, so
@@ -93,6 +96,34 @@ fn run_id() -> String {
     format!("{unix}-{}", std::process::id())
 }
 
+/// The commit checked out in the working directory, when `git` can tell.
+fn commit() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()?;
+    let sha = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    (out.status.success() && !sha.is_empty()).then_some(sha)
+}
+
+/// The run's provenance fields for the `meta` header: core count, commit
+/// (omitted when unknown) and every `IBP_*` variable, sorted by name.
+fn provenance() -> Vec<(String, Json)> {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut fields = vec![("available_parallelism".to_string(), Json::Num(cores as f64))];
+    if let Some(sha) = commit() {
+        fields.push(("commit".to_string(), Json::Str(sha)));
+    }
+    let mut knobs: Vec<(String, Json)> = std::env::vars()
+        .filter(|(k, _)| k.starts_with("IBP_"))
+        .map(|(k, v)| (k, Json::Str(v)))
+        .collect();
+    knobs.sort_by(|a, b| a.0.cmp(&b.0));
+    fields.push(("env".to_string(), Json::Obj(knobs)));
+    fields
+}
+
 fn init_from_env() {
     // NOTE: `open_sink` (not `install`) is called from inside the Once
     // closure — `Once::call_once` is not reentrant.
@@ -157,7 +188,7 @@ fn open_sink(path: &Path) -> std::io::Result<()> {
     });
     ENABLED.store(true, Ordering::Relaxed);
     drop(guard);
-    write_record(&Json::Obj(vec![
+    let mut meta = vec![
         ("t".to_string(), Json::Str("meta".to_string())),
         ("run_id".to_string(), Json::Str(run_id())),
         ("ts".to_string(), Json::Num(now_us() as f64)),
@@ -171,7 +202,9 @@ fn open_sink(path: &Path) -> std::io::Result<()> {
             ),
         ),
         ("pid".to_string(), Json::Num(f64::from(std::process::id()))),
-    ]));
+    ];
+    meta.extend(provenance());
+    write_record(&Json::Obj(meta));
     Ok(())
 }
 

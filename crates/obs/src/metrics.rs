@@ -19,12 +19,10 @@ use std::time::{Duration, Instant};
 
 /// Tracks one worker's busy/idle split over its lifetime.
 ///
-/// Start the clock when the worker spawns, wrap each unit of real work in
-/// [`busy`](WorkClock::busy) (or accumulate with
-/// [`add_busy`](WorkClock::add_busy)); everything else — queue waits,
-/// channel blocking — counts as idle. Both `ibp_sim`'s `parallel_map`
-/// workers and its shard workers report through one of these, so occupancy
-/// is measured identically across the two pools.
+/// Start the clock when the worker spawns and wrap each unit of real work
+/// in [`busy`](WorkClock::busy); everything else — waiting for the next
+/// item, the tail after the queue drains — counts as idle. `ibp_sim`'s
+/// `parallel_map` workers report their occupancy through one of these.
 #[derive(Debug)]
 pub struct WorkClock {
     spawned: Instant,
@@ -47,11 +45,6 @@ impl WorkClock {
         let out = f();
         self.busy += t0.elapsed();
         out
-    }
-
-    /// Adds an externally measured busy duration.
-    pub fn add_busy(&mut self, d: Duration) {
-        self.busy += d;
     }
 
     /// Busy time so far, in microseconds.
@@ -379,8 +372,6 @@ mod tests {
         });
         assert_eq!(out, 7);
         assert!(clock.busy_us() >= 1_000, "busy = {}us", clock.busy_us());
-        clock.add_busy(Duration::from_millis(1));
-        assert!(clock.busy_us() >= 2_000);
         assert!(clock.util_pct() <= 100);
     }
 

@@ -11,7 +11,6 @@ use std::collections::{HashMap, HashSet};
 
 use ibp_core::{
     fold_two_level_chunk, ChunkScorer, FoldKernel, Predictor, ProbeSink, TwoLevelPredictor,
-    WarmTrigger,
 };
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, Addr, EventSource, Trace, TraceChunk};
@@ -109,7 +108,7 @@ pub fn simulate_classified_source<S: EventSource + ?Sized>(
     // order the old hand-rolled loop classified in, on the monomorphized
     // fast path.
     let mut sink = ClassifySink::default();
-    let mut scorer = ChunkScorer::probed(0, &mut sink, WarmTrigger::AtCrossing, None);
+    let mut scorer = ChunkScorer::probed(0, &mut sink, None);
     let mut chunk = TraceChunk::default();
     loop {
         let more = source.fill(&mut chunk, chunk_events())?;
@@ -192,7 +191,7 @@ pub fn simulate_per_site<S: EventSource + ?Sized>(
     kernel: &mut FoldKernel,
 ) -> Result<Vec<SiteMisses>, TraceIoError> {
     let mut sink = SiteSink::default();
-    let mut scorer = ChunkScorer::probed(0, &mut sink, WarmTrigger::AtCrossing, None);
+    let mut scorer = ChunkScorer::probed(0, &mut sink, None);
     let mut chunk = TraceChunk::default();
     loop {
         let more = source.fill(&mut chunk, chunk_events())?;

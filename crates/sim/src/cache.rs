@@ -235,6 +235,7 @@ mod tests {
 
     #[test]
     fn round_trips_entries_through_disk() {
+        let _guard = crate::test_guard();
         let root = scratch_root("roundtrip");
         let entries = sample_entries();
         assert_eq!(save_to(&root, &entries).expect("save"), 2);
@@ -248,6 +249,7 @@ mod tests {
 
     #[test]
     fn save_merges_with_existing_disk_contents() {
+        let _guard = crate::test_guard();
         let root = scratch_root("merge");
         let entries = sample_entries();
         save_to(&root, &entries[..1]).expect("first save");
@@ -260,6 +262,7 @@ mod tests {
 
     #[test]
     fn stale_schema_directories_are_evicted() {
+        let _guard = crate::test_guard();
         let root = scratch_root("evict");
         let stale = root.join("v0");
         fs::create_dir_all(&stale).expect("mk stale");
@@ -273,7 +276,7 @@ mod tests {
 
     #[test]
     fn failed_write_cleans_up_the_temp_file_and_keeps_the_old_snapshot() {
-        let _guard = crate::faults::test_guard();
+        let _guard = crate::test_guard();
         let root = scratch_root("write-fault");
         let entries = sample_entries();
         save_to(&root, &entries[..1]).expect("clean first save");
@@ -291,7 +294,7 @@ mod tests {
 
     #[test]
     fn failed_rename_cleans_up_the_temp_file_and_keeps_the_old_snapshot() {
-        let _guard = crate::faults::test_guard();
+        let _guard = crate::test_guard();
         let root = scratch_root("rename-fault");
         let entries = sample_entries();
         save_to(&root, &entries[..1]).expect("clean first save");
@@ -309,6 +312,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_degrade_to_a_cold_cache() {
+        let _guard = crate::test_guard();
         let root = scratch_root("malformed");
         let dir = version_dir(&root);
         fs::create_dir_all(&dir).expect("mkdir");

@@ -1,9 +1,9 @@
 //! Deterministic fault injection for the containment layer (`IBP_FAULTS`).
 //!
-//! The parallel pipelines promise that a worker panic, a stalled queue or
-//! a failed cache write costs wall time, never correctness: the engine
-//! contains the fault and re-runs the cell on the sequential kernel fold.
-//! That promise is only worth having if it is exercised, so this module
+//! The simulator promises that a worker panic or a failed cache write
+//! costs wall time, never correctness: `parallel_map` contains a panic and
+//! retries the cell inline, and every cache I/O failure warns and falls
+//! back. That promise is only worth having if it is exercised, so this module
 //! lets a run arm faults at *named sites* that fire at a deterministic
 //! occurrence count — every failure is reproducible from the spec alone.
 //!
@@ -12,17 +12,14 @@
 //! `IBP_FAULTS` is a semicolon-separated list of clauses:
 //!
 //! ```text
-//! IBP_FAULTS="shard.worker@3;trace_cache.read;watchdog=250"
+//! IBP_FAULTS="parallel.worker@3;trace_cache.read"
 //! ```
 //!
 //! * `<site>` — arm `site` to fire at its first occurrence;
 //! * `<site>@<n>` — arm `site` to fire at its `n`-th occurrence (1-based);
 //! * `seed=<s>` — derive the occurrence for every armed site without an
 //!   explicit `@<n>` from `s` (a cheap deterministic mix of seed and site
-//!   name), so one integer explores many schedules reproducibly;
-//! * `watchdog=<ms>` — bound every pipeline condvar wait to `ms`
-//!   milliseconds (default 30000): a wait that exceeds the bound is
-//!   reported as a stalled-queue fault instead of hanging the process.
+//!   name), so one integer explores many schedules reproducibly.
 //!
 //! Unset or empty means injection is off (the only extra cost on hot
 //! paths is one relaxed atomic load). A malformed spec warns and leaves
@@ -30,8 +27,8 @@
 //!
 //! Each armed site fires **exactly once** per arming: the n-th call to
 //! [`should_fire`] for that site returns true, every other call false.
-//! One-shot semantics are what make the engine's sequential retry safe to
-//! drive under injection — the fallback never re-trips the same fault.
+//! One-shot semantics are what make the inline retry safe to drive under
+//! injection — the retry never re-trips the same fault.
 //!
 //! The registered sites are listed in [`SITES`]; `fault_matrix` sweeps
 //! all of them under every scheduling mode.
@@ -39,19 +36,14 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::Duration;
 
 /// What an armed site does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker thread panics (`fire_panic`).
     Panic,
-    /// The worker stops consuming/producing without closing its queues,
-    /// so progress depends on the watchdog (`should_fire` at a stall
-    /// check site).
-    Stall,
     /// An I/O operation fails with an injected error (`io_error`).
     Io,
 }
@@ -59,7 +51,7 @@ pub enum FaultKind {
 /// One registered injection point.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultSite {
-    /// Site name as written in the spec (e.g. `shard.worker`).
+    /// Site name as written in the spec (e.g. `parallel.worker`).
     pub name: &'static str,
     /// What firing does.
     pub kind: FaultKind,
@@ -73,26 +65,6 @@ pub const SITES: &[FaultSite] = &[
         name: "parallel.worker",
         kind: FaultKind::Panic,
         what: "parallel_map item fold panics; retried inline on the calling path",
-    },
-    FaultSite {
-        name: "shard.worker",
-        kind: FaultKind::Panic,
-        what: "site-shard worker panics mid-batch; cell falls back to the sequential fold",
-    },
-    FaultSite {
-        name: "shard.stall",
-        kind: FaultKind::Stall,
-        what: "site-shard worker stops draining its queue; router trips the watchdog",
-    },
-    FaultSite {
-        name: "component.worker",
-        kind: FaultKind::Panic,
-        what: "component-fold worker panics mid-chunk; cell falls back to the sequential fold",
-    },
-    FaultSite {
-        name: "component.stall",
-        kind: FaultKind::Stall,
-        what: "component-fold worker stops mid-pipeline; router/merger trips the watchdog",
     },
     FaultSite {
         name: "cache.write",
@@ -148,7 +120,6 @@ struct Arm {
 #[derive(Debug, Clone, Default)]
 struct Plan {
     arms: HashMap<&'static str, Arm>,
-    watchdog_ms: Option<u64>,
 }
 
 impl Plan {
@@ -157,16 +128,8 @@ impl Plan {
     }
 }
 
-/// Default bound on pipeline condvar waits. Generous enough that no
-/// honest backpressure ever trips it (a worker drains a batch in
-/// microseconds), small enough that a genuinely wedged pipeline surfaces
-/// as a contained fault instead of a hung sweep.
-const DEFAULT_WATCHDOG_MS: u64 = 30_000;
-
 /// Whether any fault site is armed — the hot-path gate.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Current watchdog bound in ms (read on the queue *slow* path only).
-static WATCHDOG_MS: AtomicU64 = AtomicU64::new(DEFAULT_WATCHDOG_MS);
 
 fn plan() -> &'static Mutex<Plan> {
     static PLAN: OnceLock<Mutex<Plan>> = OnceLock::new();
@@ -190,12 +153,11 @@ fn lock_plan() -> std::sync::MutexGuard<'static, Plan> {
     plan().lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Publishes a plan's derived state: the hot-path flag, the watchdog
-/// bound, and the journal write-fault hook (the journal lives below this
+/// Publishes a plan's derived state: the hot-path flag and the journal
+/// write-fault hook (the journal lives below this
 /// crate, so injection reaches it through `ibp_obs`'s hook slot).
 fn apply(p: &Plan) {
     ACTIVE.store(p.is_armed(), Ordering::Relaxed);
-    WATCHDOG_MS.store(p.watchdog_ms.unwrap_or(DEFAULT_WATCHDOG_MS), Ordering::Relaxed);
     if p.arms.contains_key("journal.write") {
         ibp_obs::journal::set_fault_hook(Some(Box::new(|| io_error("journal.write"))));
     } else {
@@ -222,17 +184,6 @@ fn parse_spec(raw: &str) -> Result<Plan, String> {
     for clause in raw.split(';') {
         let clause = clause.trim();
         if clause.is_empty() {
-            continue;
-        }
-        if let Some(value) = clause.strip_prefix("watchdog=") {
-            let ms: u64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("watchdog wants milliseconds, got {value:?}"))?;
-            if ms == 0 {
-                return Err("watchdog must be nonzero".to_string());
-            }
-            plan.watchdog_ms = Some(ms);
             continue;
         }
         if let Some(value) = clause.strip_prefix("seed=") {
@@ -345,14 +296,6 @@ pub fn seen(site: &str) -> u64 {
         .map_or(0, |a| a.seen)
 }
 
-/// The bound on pipeline condvar waits. Consulted only once a wait is
-/// actually necessary — the uncontended queue fast path never reads it.
-#[must_use]
-pub fn watchdog() -> Duration {
-    let _ = plan();
-    Duration::from_millis(WATCHDOG_MS.load(Ordering::Relaxed))
-}
-
 /// Replaces the plan for this process: `Some(spec)` arms the spec
 /// (counters zeroed), `None` restores the `IBP_FAULTS` environment
 /// parse. Harness plumbing (`fault_matrix`, tests) — the env itself is
@@ -390,41 +333,36 @@ pub fn panic_detail(payload: &(dyn Any + Send)) -> String {
 }
 
 #[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_guard;
 
     #[test]
     fn unarmed_by_default_and_cheap() {
         let _guard = test_guard();
         override_spec(None).unwrap();
-        assert!(!should_fire("shard.worker"));
-        assert_eq!(fired("shard.worker"), 0);
+        assert!(!should_fire("cache.write"));
+        assert_eq!(fired("cache.write"), 0);
     }
 
     #[test]
     fn fires_exactly_once_at_the_nth_occurrence() {
         let _guard = test_guard();
-        override_spec(Some("shard.worker@3")).unwrap();
-        assert!(!should_fire("shard.worker"));
-        assert!(!should_fire("shard.worker"));
-        assert!(should_fire("shard.worker"));
-        assert!(!should_fire("shard.worker"));
-        assert_eq!(fired("shard.worker"), 1);
-        assert_eq!(seen("shard.worker"), 4);
+        override_spec(Some("cache.write@3")).unwrap();
+        assert!(!should_fire("cache.write"));
+        assert!(!should_fire("cache.write"));
+        assert!(should_fire("cache.write"));
+        assert!(!should_fire("cache.write"));
+        assert_eq!(fired("cache.write"), 1);
+        assert_eq!(seen("cache.write"), 4);
         override_spec(None).unwrap();
     }
 
     #[test]
     fn unarmed_sites_do_not_fire() {
         let _guard = test_guard();
-        override_spec(Some("shard.worker@1")).unwrap();
-        assert!(!should_fire("component.worker"));
+        override_spec(Some("cache.rename@1")).unwrap();
+        assert!(!should_fire("trace_cache.read"));
         assert!(io_error("cache.write").is_none());
         override_spec(None).unwrap();
     }
@@ -440,26 +378,17 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_parses_and_restores() {
-        let _guard = test_guard();
-        override_spec(Some("shard.stall@1;watchdog=250")).unwrap();
-        assert_eq!(watchdog(), Duration::from_millis(250));
-        override_spec(None).unwrap();
-        assert_eq!(watchdog(), Duration::from_millis(DEFAULT_WATCHDOG_MS));
-    }
-
-    #[test]
     fn seed_derives_occurrences_deterministically() {
         let _guard = test_guard();
-        let a = derive_occurrence(42, "shard.worker");
-        let b = derive_occurrence(42, "shard.worker");
+        let a = derive_occurrence(42, "cache.write");
+        let b = derive_occurrence(42, "cache.write");
         assert_eq!(a, b);
         assert!((1..=8).contains(&a));
-        override_spec(Some("seed=42;shard.worker")).unwrap();
+        override_spec(Some("seed=42;cache.write")).unwrap();
         for _ in 0..a.saturating_sub(1) {
-            assert!(!should_fire("shard.worker"));
+            assert!(!should_fire("cache.write"));
         }
-        assert!(should_fire("shard.worker"));
+        assert!(should_fire("cache.write"));
         override_spec(None).unwrap();
     }
 
@@ -467,9 +396,10 @@ mod tests {
     fn malformed_specs_are_rejected() {
         let _guard = test_guard();
         assert!(override_spec(Some("no.such.site@1")).is_err());
-        assert!(override_spec(Some("shard.worker@0")).is_err());
-        assert!(override_spec(Some("watchdog=banana")).is_err());
-        assert!(override_spec(Some("shard.worker@two")).is_err());
+        assert!(override_spec(Some("parallel.worker@0")).is_err());
+        assert!(override_spec(Some("watchdog=250")).is_err(), "retired term");
+        assert!(override_spec(Some("seed=banana")).is_err());
+        assert!(override_spec(Some("parallel.worker@two")).is_err());
         override_spec(None).unwrap();
     }
 

@@ -13,14 +13,6 @@
 //!   benchmark) grids into one parallel work queue and never simulates the
 //!   same pair twice across experiments — or across *processes*, via the
 //!   persistent result cache under `results/.cache/`;
-//! * [`shard`] — the chunk-parallel sharded pipeline: site-partitionable
-//!   configurations ([`ibp_core::PredictorConfig::shardable`]) fold one
-//!   run across several workers with byte-identical results;
-//! * [`component`] — the component-parallel fold for hybrids
-//!   ([`ibp_core::PredictorConfig::decompose`]), which bounded tables
-//!   keep out of the sharded pipeline: one shared source pass broadcast
-//!   to per-component workers, merged through the metapredictor with
-//!   byte-identical results;
 //! * [`probe`] — the predictor-internals probe layer (`IBP_PROBE`):
 //!   occupancy/aliasing snapshots and per-site miss attribution sampled
 //!   into the run journal, byte-identical results on or off;
@@ -30,9 +22,9 @@
 //!   replayed at memory speed by every later suite, materialised or
 //!   streamed, with byte-identical results;
 //! * [`faults`] — deterministic fault injection (`IBP_FAULTS`): named
-//!   panic/stall/IO sites firing on one-shot occurrence schedules, which
-//!   exercise the containment layer — contained worker faults degrade a
-//!   cell to the sequential fold with byte-identical results;
+//!   panic and I/O sites firing on one-shot occurrence schedules, which
+//!   exercise the containment layer — a contained worker panic retries
+//!   its cell inline with byte-identical results;
 //! * [`report`] — plain-text and CSV rendering of result tables;
 //! * [`experiments`] — one runner per figure/table of the paper (the
 //!   `ibp-bench` binaries are thin wrappers over these).
@@ -56,7 +48,6 @@
 
 pub mod analysis;
 mod cache;
-pub mod component;
 pub mod engine;
 pub mod experiments;
 pub mod faults;
@@ -64,7 +55,6 @@ mod parallel;
 pub mod probe;
 pub mod report;
 mod run;
-pub mod shard;
 mod suite;
 pub mod trace_cache;
 
@@ -74,3 +64,15 @@ pub use run::{
     simulate_source_kernels, simulate_source_multi, simulate_warm, RunStats,
 };
 pub use suite::{Suite, SuiteResult};
+
+/// Serialises the unit tests that touch process-global state: armed fault
+/// sites, the override slots, and the engine and trace-cache counters
+/// whose exact deltas they assert. Every such test holds this one guard,
+/// so none of them observes another's faults or counts.
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -25,6 +25,17 @@ fn items_counter() -> &'static Arc<Counter> {
     C.get_or_init(|| obs::metrics::counter("parallel.items"))
 }
 
+fn retried_counter() -> &'static Arc<Counter> {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| obs::metrics::counter("parallel.retried_items"))
+}
+
+/// Items whose first fold panicked and that the inline retry recovered,
+/// process-wide (the engine reports these as degraded cells).
+pub(crate) fn retried_items() -> u64 {
+    retried_counter().get()
+}
+
 fn util_histogram() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
@@ -54,6 +65,7 @@ where
             );
             let start = Instant::now();
             let result = f(item);
+            retried_counter().incr();
             obs::event!(
                 "degraded",
                 site = "parallel.worker",
@@ -205,7 +217,7 @@ mod tests {
 
     #[test]
     fn injected_panic_is_contained_and_retried() {
-        let _guard = faults::test_guard();
+        let _guard = crate::test_guard();
         faults::override_spec(Some("parallel.worker@3")).unwrap();
         let items: Vec<u64> = (0..12).collect();
         let out = parallel_map(&items, |&x| x * 3);

@@ -11,7 +11,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, Predictor, WarmTrigger};
+use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, Predictor};
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
 
@@ -250,7 +250,7 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
     } else {
         probes
             .iter_mut()
-            .map(|p| ChunkScorer::probed(warmup, p, WarmTrigger::AtCrossing, interval))
+            .map(|p| ChunkScorer::probed(warmup, p, interval))
             .collect()
     };
     let mut seen = 0u64;

@@ -102,7 +102,15 @@ impl Suite {
     /// (materialised or streamed per the `IBP_STREAM` policy).
     #[must_use]
     pub fn with_benchmarks_and_len(benchmarks: &[Benchmark], events: u64) -> Self {
-        let streamed = streaming_enabled(events);
+        Suite::with_streaming(benchmarks, events, streaming_enabled(events))
+    }
+
+    /// Like [`with_benchmarks_and_len`](Suite::with_benchmarks_and_len),
+    /// with the scheduling mode chosen by the caller instead of the
+    /// `IBP_STREAM` policy: `streamed` suites hold no events. Harnesses
+    /// use this to drive both modes within one process.
+    #[must_use]
+    pub fn with_streaming(benchmarks: &[Benchmark], events: u64, streamed: bool) -> Self {
         let mut span =
             ibp_obs::span!("generate_traces", benchmarks = benchmarks.len(), events = events);
         span.note("mode", if streamed { "streamed" } else { "materialized" });
@@ -352,7 +360,7 @@ mod tests {
         // pulled, and then only chunk by chunk. Pin the trace cache off so
         // pulling a 250k source here does not write a segment file into
         // the crate's working directory.
-        let _guard = crate::trace_cache::override_guard();
+        let _guard = crate::test_guard();
         crate::trace_cache::override_policy(Some(false));
         let s = Suite::with_benchmarks_and_len(&[Benchmark::Ixx], STREAM_THRESHOLD + 1);
         assert!(s.streamed());

@@ -452,14 +452,6 @@ pub fn forget_verified() {
         .clear();
 }
 
-/// Serialises tests that flip the process-global policy/root overrides
-/// (they would otherwise race with tests that rely on the defaults).
-#[cfg(test)]
-pub(crate) fn override_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,6 +481,7 @@ mod tests {
 
     #[test]
     fn miss_generates_then_hit_replays_identically() {
+        let _guard = crate::test_guard();
         let root = scratch_root("roundtrip");
         let before = stats();
         let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
@@ -513,6 +506,7 @@ mod tests {
 
     #[test]
     fn corrupt_segment_is_evicted_and_regenerated() {
+        let _guard = crate::test_guard();
         let root = scratch_root("corrupt");
         let path = ensure_segment_at(&root, Benchmark::Gcc, EVENTS).expect("segment");
         // Garble one payload byte, then pretend we are a new process.
@@ -534,6 +528,7 @@ mod tests {
 
     #[test]
     fn truncated_segment_is_evicted_and_regenerated() {
+        let _guard = crate::test_guard();
         let root = scratch_root("truncated");
         let path = ensure_segment_at(&root, Benchmark::Perl, EVENTS).expect("segment");
         let bytes = fs::read(&path).expect("read");
@@ -549,6 +544,7 @@ mod tests {
 
     #[test]
     fn stale_schema_and_fingerprint_segments_are_evicted() {
+        let _guard = crate::test_guard();
         let root = scratch_root("evict");
         let stale_dir = root.join("v0");
         fs::create_dir_all(&stale_dir).expect("mk stale");
@@ -566,6 +562,7 @@ mod tests {
 
     #[test]
     fn streamed_cursors_are_independent() {
+        let _guard = crate::test_guard();
         let root = scratch_root("cursors");
         let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
         let mut a = open_segment(&path).expect("open a");
@@ -578,7 +575,7 @@ mod tests {
 
     #[test]
     fn injected_read_fault_evicts_and_regenerates() {
-        let _faults = crate::faults::test_guard();
+        let _guard = crate::test_guard();
         let root = scratch_root("read-fault");
         let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
         forget(&path);
@@ -594,7 +591,7 @@ mod tests {
 
     #[test]
     fn injected_write_fault_cleans_up_and_falls_back() {
-        let _faults = crate::faults::test_guard();
+        let _guard = crate::test_guard();
         let root = scratch_root("write-fault");
         crate::faults::override_spec(Some("trace_cache.write@1")).unwrap();
         assert!(
@@ -617,7 +614,7 @@ mod tests {
 
     #[test]
     fn injected_rename_fault_cleans_up_and_falls_back() {
-        let _faults = crate::faults::test_guard();
+        let _guard = crate::test_guard();
         let root = scratch_root("rename-fault");
         crate::faults::override_spec(Some("trace_cache.rename@1")).unwrap();
         assert!(ensure_segment_at(&root, Benchmark::Ixx, EVENTS).is_none());
@@ -637,7 +634,7 @@ mod tests {
 
     #[test]
     fn engagement_honours_threshold_and_override() {
-        let _guard = override_guard();
+        let _guard = crate::test_guard();
         // No override: tiny suites stay out of the cache.
         assert!(!engaged(MIN_CACHE_EVENTS - 1));
         override_policy(Some(true));

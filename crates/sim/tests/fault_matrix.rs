@@ -1,27 +1,28 @@
-//! Engine-level fault-containment equivalence: under every scheduling
-//! mode, an injected worker panic (at the first, middle, or last armed
-//! occurrence), an injected queue stall, and each I/O fault site must end
-//! in the unfaulted sequential run's exact tables plus — where the
-//! journal survives — at least one `degraded` record. Never a process
-//! abort, never a hang (queue waits are watchdog-bounded), never a wrong
-//! number.
+//! Engine-level fault-containment equivalence: in both scheduling modes
+//! (materialised and streamed suites), an injected worker panic (at the
+//! first, middle, or last armed occurrence) and each I/O fault site must
+//! end in the unfaulted run's exact tables plus — where the journal
+//! survives — at least one `degraded` record. Never a process abort,
+//! never a wrong number.
 //!
-//! The tests serialise on a local mutex: fault arming, the scheduling
-//! policy overrides, and the journal sink are process-global.
+//! The tests serialise on a local mutex: fault arming, the trace-cache
+//! overrides, and the journal sink are process-global.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ibp_core::PredictorConfig;
 use ibp_obs::{self as obs, Kind, Record};
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine::{self, Sweep};
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::{faults, trace_cache, Suite, SuiteResult};
 use ibp_workload::Benchmark;
 
 const BENCHMARKS: [Benchmark; 2] = [Benchmark::Ixx, Benchmark::Xlisp];
 const EVENTS: u64 = 6_000;
+
+/// The scheduling modes: materialised suites fold one cell per queue
+/// item, streamed suites fold one benchmark group per item.
+const MODES: [(&str, bool); 2] = [("materialised", false), ("streamed", true)];
 
 fn serial() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -56,10 +57,7 @@ impl SharedBuf {
     }
 }
 
-/// One sweep over a shardable BTB (`unconstrained` configs keep global
-/// history, which refuses to shard), a sequential-only two-level config,
-/// and a decomposable hybrid — every scheduling mode has a cell on its
-/// path.
+/// One sweep over a BTB, an unbounded two-level config and a hybrid.
 fn run_sweep(suite: &Suite) -> String {
     let results: Vec<SuiteResult> = Sweep::new(suite)
         .config(PredictorConfig::btb_2bc())
@@ -81,16 +79,9 @@ fn run_sweep(suite: &Suite) -> String {
     out
 }
 
-fn sequential_baseline(suite: &Suite) -> String {
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
+fn baseline() -> String {
     engine::clear_memo_cache();
-    run_sweep(suite)
-}
-
-fn reset_policies() {
-    shard::override_policy(None);
-    component::override_policy(None);
+    run_sweep(&Suite::with_streaming(&BENCHMARKS, EVENTS, false))
 }
 
 /// Arms `spec`, runs one sweep with a capturing journal, disarms, and
@@ -110,68 +101,39 @@ fn faulted_pass(suite: &Suite, site: &str, spec: &str) -> (String, u64, usize) {
 #[test]
 fn worker_panics_at_first_mid_and_last_occurrence_degrade_without_divergence() {
     let _serial = serial();
-    let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
-    let baseline = sequential_baseline(&suite);
+    let baseline = baseline();
+    let site = "parallel.worker";
 
-    for (site, shards, comps) in [
-        ("shard.worker", ShardPolicy::Fixed(3), ComponentPolicy::Off),
-        ("component.worker", ShardPolicy::Off, ComponentPolicy::Fixed(2)),
-    ] {
-        shard::override_policy(Some(shards));
-        component::override_policy(Some(comps));
+    for (mode, streamed) in MODES {
+        let suite = Suite::with_streaming(&BENCHMARKS, EVENTS, streamed);
 
         // Probe pass: arm far beyond reach to count how many times the
         // site is consulted in this mode, without firing. That pins the
         // first / middle / last occurrence targets to this exact
-        // workload instead of a guessed chunk count.
+        // workload instead of a guessed queue length.
         faults::override_spec(Some(&format!("{site}@1000000000"))).expect("probe spec");
         engine::clear_memo_cache();
         let clean = run_sweep(&suite);
         let occurrences = faults::seen(site);
         faults::override_spec(None).expect("disarm probe");
-        assert_eq!(clean, baseline, "{site}: clean parallel pass must match");
-        assert!(occurrences >= 1, "{site}: site must be on this mode's path");
+        assert_eq!(clean, baseline, "{mode}: clean pass must match");
+        assert!(occurrences >= 1, "{mode}: site must be on this mode's path");
 
         let mut targets = vec![1, (occurrences / 2).max(1), occurrences];
         targets.dedup();
         for target in targets {
-            let (tables, fired, degraded) =
-                faulted_pass(&suite, site, &format!("{site}@{target};watchdog=2000"));
-            assert_eq!(fired, 1, "{site}@{target} must fire exactly once");
+            let (tables, fired, degraded) = faulted_pass(&suite, site, &format!("{site}@{target}"));
+            assert_eq!(fired, 1, "{mode} {site}@{target} must fire exactly once");
             assert_eq!(
                 tables, baseline,
-                "{site}@{target}: degraded tables must be byte-identical"
+                "{mode} {site}@{target}: degraded tables must be byte-identical"
             );
             assert!(
                 degraded >= 1,
-                "{site}@{target}: the fallback must journal a degraded record"
+                "{mode} {site}@{target}: the retry must journal a degraded record"
             );
         }
     }
-    reset_policies();
-}
-
-#[test]
-fn worker_stalls_trip_the_watchdog_and_degrade_without_divergence() {
-    let _serial = serial();
-    let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
-    let baseline = sequential_baseline(&suite);
-
-    for (site, shards, comps) in [
-        ("shard.stall", ShardPolicy::Fixed(3), ComponentPolicy::Off),
-        ("component.stall", ShardPolicy::Off, ComponentPolicy::Fixed(2)),
-    ] {
-        shard::override_policy(Some(shards));
-        component::override_policy(Some(comps));
-        // A short watchdog keeps the stall's bounded wait test-sized; the
-        // run must still complete and match, just degraded.
-        let (tables, fired, degraded) =
-            faulted_pass(&suite, site, &format!("{site}@1;watchdog=100"));
-        assert_eq!(fired, 1, "{site} must fire");
-        assert_eq!(tables, baseline, "{site}: tables must be byte-identical");
-        assert!(degraded >= 1, "{site}: fallback must journal a degraded record");
-    }
-    reset_policies();
 }
 
 #[test]
@@ -185,58 +147,61 @@ fn io_faults_warn_and_continue_without_divergence() {
     trace_cache::override_root(Some(scratch.join("traces")));
     trace_cache::override_policy(Some(true));
 
-    // The trace-cache sites fire at suite construction, so every pass
-    // builds its suite fresh inside the armed window.
-    shard::override_policy(Some(ShardPolicy::Off));
-    component::override_policy(Some(ComponentPolicy::Off));
+    // The trace-cache sites fire at suite construction (materialised) or
+    // when a group opens its source (streamed), so every pass builds its
+    // suite fresh inside the armed window.
     engine::clear_memo_cache();
     let baseline = {
-        let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
+        let suite = Suite::with_streaming(&BENCHMARKS, EVENTS, false);
         let tables = run_sweep(&suite);
         engine::persist_cache();
         tables
     };
 
-    for site in [
-        "trace_cache.write",
-        "trace_cache.rename",
-        "trace_cache.read",
-        "cache.write",
-        "cache.rename",
-        "journal.write",
-    ] {
-        match site {
-            // A hit segment skips the write/publish path; purge so the
-            // pass regenerates. Verification runs once per process per
-            // segment, so forget to re-reach the read path.
-            "trace_cache.write" | "trace_cache.rename" => trace_cache::purge(),
-            "trace_cache.read" => trace_cache::forget_verified(),
-            _ => {}
-        }
-        faults::override_spec(Some(&format!("{site}@1"))).expect("valid spec");
-        let buf = SharedBuf::default();
-        obs::journal::install_writer(Box::new(buf.clone()));
-        engine::clear_memo_cache();
-        let suite = Suite::with_benchmarks_and_len(&BENCHMARKS, EVENTS);
-        let tables = run_sweep(&suite);
-        engine::persist_cache();
-        obs::journal::uninstall();
-        let fired = faults::fired(site);
-        faults::override_spec(None).expect("disarm");
+    for (mode, streamed) in MODES {
+        for site in [
+            "trace_cache.write",
+            "trace_cache.rename",
+            "trace_cache.read",
+            "cache.write",
+            "cache.rename",
+            "journal.write",
+        ] {
+            match site {
+                // A hit segment skips the write/publish path; purge so the
+                // pass regenerates. Verification runs once per process per
+                // segment, so forget to re-reach the read path.
+                "trace_cache.write" | "trace_cache.rename" => trace_cache::purge(),
+                "trace_cache.read" => trace_cache::forget_verified(),
+                _ => {}
+            }
+            faults::override_spec(Some(&format!("{site}@1"))).expect("valid spec");
+            let buf = SharedBuf::default();
+            obs::journal::install_writer(Box::new(buf.clone()));
+            engine::clear_memo_cache();
+            let suite = Suite::with_streaming(&BENCHMARKS, EVENTS, streamed);
+            let tables = run_sweep(&suite);
+            engine::persist_cache();
+            obs::journal::uninstall();
+            let fired = faults::fired(site);
+            faults::override_spec(None).expect("disarm");
 
-        assert_eq!(fired, 1, "{site} must fire exactly once");
-        assert_eq!(tables, baseline, "{site}: tables must be byte-identical");
-        if site != "journal.write" {
-            // The journal fault disables the journal itself — its clean
-            // outcome is the warn, not a record.
-            assert!(
-                buf.degraded_count() >= 1,
-                "{site}: warn-and-continue must journal a degraded record"
+            assert_eq!(fired, 1, "{mode} {site} must fire exactly once");
+            assert_eq!(
+                tables, baseline,
+                "{mode} {site}: tables must be byte-identical"
             );
+            if site != "journal.write" {
+                // The journal fault disables the journal itself — its clean
+                // outcome is the warn, not a record.
+                assert!(
+                    buf.degraded_count() >= 1,
+                    "{mode} {site}: warn-and-continue must journal a degraded record"
+                );
+            }
         }
     }
 
-    reset_policies();
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
     let _ = std::fs::remove_dir_all(&scratch);

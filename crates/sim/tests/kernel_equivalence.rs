@@ -1,13 +1,17 @@
 //! The fold-kernel layer's one promise: replacing the per-event
 //! dyn-dispatch fold with the monomorphized chunk kernels changes *nothing*
 //! observable — not the scored `RunStats`, not the probe payloads, under
-//! any scheduling mode or probe level.
+//! any probe level.
 //!
 //! The grid test drives every benchmark through every kernel family (BTB,
 //! tagless, set-associative, fully-associative, unbounded, a fig17 hybrid,
 //! a BPST metapredictor) plus a `Dyn`-fallback extension predictor; the
-//! probe tests pin payload equality under `IBP_PROBE=deep`; the scheduling
-//! test covers all three pipelines × all three probe levels in one sweep.
+//! probe tests pin payload equality under `IBP_PROBE=deep` and scored
+//! stats under all three probe levels.
+//!
+//! The journal sink and the probe override are process-global, and
+//! `probes_under` captures every probe record emitted while it runs, so
+//! every test in this file holds one serial lock.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -17,9 +21,7 @@ use ibp_core::{
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
-use ibp_sim::component::simulate_source_components;
 use ibp_sim::probe::{self, ProbePolicy};
-use ibp_sim::shard::simulate_source_sharded;
 use ibp_sim::{simulate_kernel, simulate_source, RunStats};
 use ibp_workload::Benchmark;
 
@@ -52,6 +54,11 @@ fn dyn_fallback() -> Box<dyn Predictor> {
     ]))
 }
 
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The legacy result: the pre-kernel per-event dyn-dispatch fold.
 fn legacy(
     trace: &ibp_trace::Trace,
@@ -65,6 +72,7 @@ fn legacy(
 /// monomorphized fold must reproduce the dyn fold's `RunStats` exactly.
 #[test]
 fn kernel_matches_dyn_fold_on_every_benchmark() {
+    let _guard = serial();
     let traces: Vec<(Benchmark, ibp_trace::Trace)> = Benchmark::ALL
         .iter()
         .map(|&b| (b, b.trace_with_len(2_500)))
@@ -96,6 +104,7 @@ fn kernel_matches_dyn_fold_on_every_benchmark() {
 /// through the kernel driver and still matches the legacy fold.
 #[test]
 fn dyn_fallback_arm_matches_legacy_fold() {
+    let _guard = serial();
     for b in [Benchmark::Ixx, Benchmark::SelfVm, Benchmark::Gcc] {
         let trace = b.trace_with_len(3_000);
         for warmup in [0u64, 200] {
@@ -113,6 +122,7 @@ fn dyn_fallback_arm_matches_legacy_fold() {
 /// predictor behind the `Dyn` arm — its results must not move either.
 #[test]
 fn demoted_kernel_matches_monomorphized_kernel() {
+    let _guard = serial();
     let trace = Benchmark::Jhm.trace_with_len(3_000);
     for cfg in kernel_configs() {
         let mut fast = cfg.build_kernel();
@@ -122,16 +132,6 @@ fn demoted_kernel_matches_monomorphized_kernel() {
         let b = simulate_kernel(&mut trace.cursor(), &mut slow, 100).expect("in-memory source");
         assert_eq!(a, b, "{}: demotion changes results", cfg.cache_key());
     }
-}
-
-// ---------------------------------------------------------------------------
-// Probe-level and scheduling-mode equivalence. The journal sink and the
-// probe override are process-global, so these tests hold one serial lock.
-// ---------------------------------------------------------------------------
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[derive(Clone, Default)]
@@ -165,16 +165,9 @@ fn probes_under(policy: ProbePolicy, body: impl FnOnce()) -> Vec<Record> {
         .collect()
 }
 
-/// The comparable payload of a probe record, minus `sched_mode` (which
-/// names the pipeline on purpose).
+/// The comparable payload of a probe record.
 fn payload(r: &Record) -> (String, Vec<(String, Json)>) {
-    let fields = r
-        .fields
-        .iter()
-        .filter(|(k, _)| k != "sched_mode")
-        .cloned()
-        .collect();
-    (r.name.clone(), fields)
+    (r.name.clone(), r.fields.clone())
 }
 
 /// `IBP_PROBE=deep`: the kernel fast path must feed the probe layer the
@@ -206,42 +199,26 @@ fn deep_probe_payloads_identical_kernel_vs_dyn() {
     }
 }
 
-/// All three scheduling modes × all three probe levels produce the same
-/// scored stats as the legacy sequential fold.
+/// The kernel fold — the one scheduling mode every cell runs on —
+/// produces the same scored stats as the legacy dyn fold under all three
+/// probe levels.
 #[test]
 fn all_sched_modes_match_under_every_probe_level() {
     let _guard = serial();
     let trace = Benchmark::Eqn.trace_with_len(5_000);
-    let shardable = PredictorConfig::btb_2bc();
-    let routing = shardable.shardable().expect("test premise: shardable");
-    let decomposable = PredictorConfig::hybrid(6, 2, 256, 4);
-    let d = decomposable.decompose().expect("test premise: decomposable");
     for policy in [ProbePolicy::Off, ProbePolicy::On, ProbePolicy::Deep] {
         let mut results: Vec<(String, RunStats, RunStats)> = Vec::new();
         probes_under(policy, || {
-            // Sequential kernel vs legacy dyn.
-            for cfg in [&shardable, &decomposable] {
+            for cfg in [
+                PredictorConfig::btb_2bc(),
+                PredictorConfig::hybrid(6, 2, 256, 4),
+            ] {
                 let expected = legacy(&trace, cfg.build().as_mut(), 300);
                 let mut kernel = cfg.build_kernel();
                 let got = simulate_kernel(&mut trace.cursor(), &mut kernel, 300)
                     .expect("in-memory source");
-                results.push((format!("sequential {}", cfg.cache_key()), got, expected));
+                results.push((cfg.cache_key(), got, expected));
             }
-            // Site-sharded kernel fold.
-            let expected = legacy(&trace, shardable.build().as_mut(), 300);
-            let make = || shardable.build_kernel();
-            let got = simulate_source_sharded(&mut trace.cursor(), &make, routing, 4, 300)
-                .expect("in-memory source");
-            results.push((format!("site-shard {}", shardable.cache_key()), got, expected));
-            // Component-parallel fold.
-            let expected = legacy(&trace, decomposable.build().as_mut(), 300);
-            let got = simulate_source_components(&mut trace.cursor(), &d, 2, 300)
-                .expect("in-memory source");
-            results.push((
-                format!("component-fold {}", decomposable.cache_key()),
-                got,
-                expected,
-            ));
         });
         for (label, got, expected) in results {
             assert_eq!(got, expected, "{label} diverges under {policy:?}");

@@ -5,9 +5,7 @@
 use std::path::PathBuf;
 
 use ibp_core::PredictorConfig;
-use ibp_sim::component::{self, ComponentPolicy};
 use ibp_sim::engine;
-use ibp_sim::shard::{self, ShardPolicy};
 use ibp_sim::trace_cache;
 use ibp_sim::{Suite, SuiteResult};
 use ibp_trace::collect_source;
@@ -32,8 +30,8 @@ fn scratch_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// A config sample that exercises all three pipelines: plain BTB and
-/// two-level runs (shardable) plus a hybrid (component-decomposable).
+/// A config sample covering the kernel families: a BTB, a practical
+/// two-level table and a hybrid.
 fn sample_configs() -> Vec<PredictorConfig> {
     vec![
         PredictorConfig::btb_2bc(),
@@ -42,24 +40,17 @@ fn sample_configs() -> Vec<PredictorConfig> {
     ]
 }
 
-/// The three scheduling modes every result must be identical across.
-const MODES: [(&str, ShardPolicy, ComponentPolicy); 3] = [
-    ("sequential", ShardPolicy::Off, ComponentPolicy::Off),
-    ("site-shard", ShardPolicy::Fixed(2), ComponentPolicy::Off),
-    ("component", ShardPolicy::Off, ComponentPolicy::Fixed(2)),
-];
-
-/// Runs the config sample over `suite` under each scheduling mode, with
-/// the memo cache cleared so every cell simulates live.
+/// Runs the config sample over the materialised `suite` and over a
+/// streamed suite of the same traces — the two scheduling modes every
+/// result must be identical across — with the memo cache cleared so every
+/// cell simulates live.
 fn run_all_modes(suite: &Suite) -> Vec<(&'static str, Vec<SuiteResult>)> {
-    MODES
-        .iter()
-        .map(|&(label, shard_policy, component_policy)| {
-            shard::override_policy(Some(shard_policy));
-            component::override_policy(Some(component_policy));
+    let streamed = Suite::with_streaming(&Benchmark::ALL, EVENTS, true);
+    [("materialised", suite), ("streamed", &streamed)]
+        .into_iter()
+        .map(|(label, suite)| {
             engine::clear_memo_cache();
-            let results = engine::run_configs(suite, sample_configs());
-            (label, results)
+            (label, engine::run_configs(suite, sample_configs()))
         })
         .collect()
 }
@@ -120,8 +111,6 @@ fn cached_replay_is_identical_across_all_benchmarks_and_modes() {
     let warm = run_all_modes(&warm_suite);
     assert_identical(&baseline, &warm, "warm");
 
-    shard::override_policy(None);
-    component::override_policy(None);
     trace_cache::override_policy(None);
     trace_cache::override_root(None);
     let _ = std::fs::remove_dir_all(&root);

@@ -87,13 +87,6 @@ impl TraceChunk {
         &self.events
     }
 
-    /// Iterates over only the indirect-branch events, in order. Merge
-    /// folds that pair a broadcast chunk with per-component prediction
-    /// records (one record per indirect event) walk this.
-    pub fn indirect(&self) -> impl Iterator<Item = &IndirectBranch> {
-        self.events.iter().filter_map(TraceEvent::as_indirect)
-    }
-
     /// Whether the chunk carries neither events nor counters.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -172,48 +165,6 @@ impl TraceChunk {
         match event {
             TraceEvent::Indirect(b) => self.push_indirect(b.pc, b.target, b.kind),
             TraceEvent::Cond(b) => self.push_cond(b.pc, b.target, b.taken),
-        }
-    }
-
-    /// Splits this chunk's events into per-shard chunks by branch site:
-    /// each event is appended to `out[route(pc)]`, preserving program
-    /// order within every shard (the partition view a sharded simulator
-    /// consumes).
-    ///
-    /// When `route_cond` is `false`, conditional events are counted as a
-    /// summary on their routed shard instead of materialised — the
-    /// per-shard instruction/conditional totals still sum to this chunk's,
-    /// but consumers that ignore `observe_cond` skip the copy. Counters
-    /// not attached to any event (plain instructions, pre-existing
-    /// conditional summaries) are credited to `out[0]`.
-    ///
-    /// The output chunks are appended to, not cleared: callers reusing
-    /// scratch chunks across source chunks clear them after draining.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is empty or `route` returns an out-of-range index.
-    pub fn partition_by_site<F>(&self, mut route: F, route_cond: bool, out: &mut [TraceChunk])
-    where
-        F: FnMut(Addr) -> usize,
-    {
-        assert!(!out.is_empty(), "partitioning needs at least one shard");
-        out[0].record_instructions(self.plain_instructions());
-        out[0].record_cond_summary(self.cond_summarised);
-        for event in &self.events {
-            match event {
-                TraceEvent::Indirect(b) => {
-                    out[route(b.pc)].push_indirect(b.pc, b.target, b.kind);
-                }
-                TraceEvent::Cond(b) => {
-                    let shard = &mut out[route(b.pc)];
-                    if route_cond {
-                        shard.push_cond(b.pc, b.target, b.taken);
-                    } else {
-                        shard.record_cond_summary(1);
-                    }
-                }
-            }
         }
     }
 }
@@ -468,82 +419,5 @@ mod tests {
     #[test]
     fn chunk_env_default() {
         assert!(chunk_events() > 0);
-    }
-
-    #[test]
-    fn partition_preserves_per_shard_order_and_counters() {
-        let t = sample();
-        let mut cursor = t.cursor();
-        let mut chunk = TraceChunk::default();
-        let _ = cursor.fill(&mut chunk, 1_000).expect("in-memory");
-        let route = |pc: Addr| (pc.word() as usize) % 3;
-        let mut parts = vec![TraceChunk::default(); 3];
-        chunk.partition_by_site(route, true, &mut parts);
-
-        // Every shard's events appear in program order and on the right
-        // shard; concatenating by a stable walk reproduces the multiset.
-        let mut seen = 0;
-        for (i, part) in parts.iter().enumerate() {
-            let mut expected = chunk
-                .events()
-                .iter()
-                .filter(|e| match e {
-                    TraceEvent::Indirect(b) => route(b.pc) == i,
-                    TraceEvent::Cond(b) => route(b.pc) == i,
-                })
-                .copied();
-            for got in part.events() {
-                assert_eq!(Some(*got), expected.next(), "shard {i} order");
-                seen += 1;
-            }
-            assert!(expected.next().is_none(), "shard {i} complete");
-        }
-        assert_eq!(seen, chunk.len());
-
-        // Counter equivalence: the shards sum to the source chunk.
-        assert_eq!(
-            parts.iter().map(TraceChunk::indirect_count).sum::<u64>(),
-            chunk.indirect_count()
-        );
-        assert_eq!(
-            parts.iter().map(TraceChunk::cond_count).sum::<u64>(),
-            chunk.cond_count()
-        );
-        assert_eq!(
-            parts.iter().map(TraceChunk::instructions).sum::<u64>(),
-            chunk.instructions()
-        );
-    }
-
-    #[test]
-    fn partition_can_summarise_conditionals() {
-        let t = sample();
-        let mut cursor = t.cursor();
-        let mut chunk = TraceChunk::default();
-        let _ = cursor.fill(&mut chunk, 1_000).expect("in-memory");
-        let mut parts = vec![TraceChunk::default(); 2];
-        chunk.partition_by_site(|pc| (pc.word() as usize) % 2, false, &mut parts);
-        for part in &parts {
-            assert!(part
-                .events()
-                .iter()
-                .all(|e| matches!(e, TraceEvent::Indirect(_))));
-        }
-        // Conditional executions are still all accounted for.
-        assert_eq!(
-            parts.iter().map(TraceChunk::cond_count).sum::<u64>(),
-            chunk.cond_count()
-        );
-        assert_eq!(
-            parts.iter().map(TraceChunk::instructions).sum::<u64>(),
-            chunk.instructions()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn partition_into_nothing_panics() {
-        let chunk = TraceChunk::default();
-        chunk.partition_by_site(|_| 0, true, &mut []);
     }
 }
