@@ -15,29 +15,26 @@
 //! * `IBP_STREAM` — `1` forces streamed suites (traces regenerated chunk
 //!   by chunk, never materialised), `0` forces materialised suites; unset
 //!   picks by trace length.
-//! * `IBP_CHUNK` — events per streaming chunk (default 8192).
-//! * `IBP_RESULTS` — output directory for CSVs (default `results`).
-//! * `IBP_KERNEL` — `0` demotes every fold to the legacy per-event
-//!   dyn-dispatch path (default: monomorphized chunk kernels; results are
-//!   byte-identical either way).
+//! * `IBP_RESULTS` — output directory for CSVs, the persistent caches
+//!   and the `IBP_TRACE=1` journal (default `results`).
 //! * `IBP_CACHE` — `0` disables the persistent cross-process result cache
 //!   under `results/.cache/` (default enabled).
-//! * `IBP_TRACE_CACHE` — `0` disables the persistent binary trace corpus
-//!   cache under `results/.cache/traces/` (default enabled). When on,
-//!   each `(benchmark, events)` trace at 50k events or more is generated
-//!   once into an `.ibpb` segment and replayed at memory speed by every
-//!   later run; results are byte-identical either way.
 //! * `IBP_LOG` — stderr log level: `0` quiet (default), `1` per-sweep and
 //!   per-experiment progress, `2` debug detail. Unparseable values warn
 //!   and read as `0`.
 //! * `IBP_TRACE` — JSONL run journal: `1` writes
-//!   `results/journal/<run-id>.jsonl`, any other value is used as the
+//!   `$IBP_RESULTS/journal/<run-id>.jsonl`, any other value is used as the
 //!   journal path. Render it with the `obs_report` binary.
 //! * `IBP_PROBE` — predictor-internals probes in the journal: `0` (the
 //!   default) off, `1` samples occupancy/aliasing snapshots and per-site
 //!   miss attribution per run, `deep` adds interval samples and the
 //!   cold/capacity split. Needs `IBP_TRACE`; result tables stay
 //!   byte-identical either way.
+//! * `IBP_FAULTS` — deterministic fault injection (`site@n;seed=s`
+//!   clauses, see `ibp_sim::faults`); unset means injection off.
+//!
+//! Every knob is read through [`ibp_obs::knob`]: unset or empty means the
+//! default, an invalid value warns once and means the default.
 //!
 //! The README's "Environment knobs" table is the authoritative list; keep
 //! the two in sync.
@@ -63,16 +60,10 @@ pub fn full_suite() -> Suite {
     Suite::new()
 }
 
-/// The CSV output root (`$IBP_RESULTS`, default `results`).
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(std::env::var("IBP_RESULTS").unwrap_or_else(|_| "results".to_string()))
-}
-
 /// Prints the tables and writes one CSV per table under
 /// `$IBP_RESULTS/<id>/`.
 pub fn emit(id: &str, tables: &[Table]) {
-    let dir = results_dir().join(id);
+    let dir = obs::results_dir().join(id);
     let persisted = fs::create_dir_all(&dir).is_ok();
     for (i, t) in tables.iter().enumerate() {
         println!("{}", t.to_text());
@@ -227,7 +218,7 @@ fn peak_rss_mb(bytes: Option<u64>) -> String {
 /// Propagates directory-creation and write failures; callers decide how to
 /// report them (`repro_all` logs through the event API).
 pub fn write_manifest(metrics: &[ExperimentMetrics]) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
+    let dir = obs::results_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join("manifest.csv");
     fs::write(&path, manifest_csv(metrics))?;

@@ -157,3 +157,40 @@ fn assert_chrome_trace(path: &Path) {
         .count();
     assert_eq!(complete, ibp_sim::experiments::all().len());
 }
+
+/// `IBP_TRACE=1` journals under the redirected results root, next to the
+/// CSVs, not under a hard-coded `results/`.
+#[test]
+fn default_journal_follows_ibp_results() {
+    let dir = std::env::temp_dir().join(format!("ibp-journal-root-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp results dir");
+
+    let out = run(
+        env!("CARGO_BIN_EXE_fig2_btb"),
+        &[],
+        &[
+            ("IBP_EVENTS", "2000"),
+            ("IBP_CACHE", "0"),
+            ("IBP_TRACE", "1"),
+            ("IBP_RESULTS", dir.to_str().expect("utf8 path")),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "fig2_btb failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    assert!(dir.join("fig2").is_dir(), "CSVs land under IBP_RESULTS");
+    let journals: Vec<_> = std::fs::read_dir(dir.join("journal"))
+        .expect("journal dir under IBP_RESULTS")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    assert_eq!(journals.len(), 1, "{journals:?}");
+    let records = read_journal(&journals[0]).expect("parse journal");
+    assert_eq!(records[0].kind, Kind::Meta);
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -291,14 +291,6 @@ impl FoldKernel {
         }
     }
 
-    /// Re-wraps this kernel as [`Dyn`](FoldKernel::Dyn), forcing the legacy
-    /// per-event dispatch path — the `IBP_KERNEL=0` escape hatch and the
-    /// baseline half of the `kernel_speedup` comparison.
-    #[must_use]
-    pub fn demote(self) -> Self {
-        FoldKernel::Dyn(self.into_boxed())
-    }
-
     /// Whether this kernel folds through a monomorphized variant (`false`
     /// for the [`Dyn`](FoldKernel::Dyn) fallback).
     #[must_use]
@@ -451,23 +443,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn demote_preserves_behaviour() {
-        let cfg = PredictorConfig::practical(2, 64, 4);
-        let trace = mixed_trace(200);
-        let mut demoted = cfg.build_kernel().demote();
-        assert!(!demoted.is_monomorphized());
-        let mut s1 = ChunkScorer::new(0);
-        demoted.fold_chunk(trace.events(), &mut s1);
-        let mut kernel = cfg.build_kernel();
-        let mut s2 = ChunkScorer::new(0);
-        kernel.fold_chunk(trace.events(), &mut s2);
-        assert_eq!(
-            (s1.indirect(), s1.mispredicted()),
-            (s2.indirect(), s2.mispredicted())
-        );
     }
 
     #[test]

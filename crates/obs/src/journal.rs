@@ -4,8 +4,8 @@
 //!
 //! * unset, empty or `0` — tracing disabled (every emit is a cheap
 //!   atomic-load no-op);
-//! * `1` — journal to `results/journal/<run-id>.jsonl`, where the run id is
-//!   `<unix-seconds>-<pid>`;
+//! * `1` — journal to `$IBP_RESULTS/journal/<run-id>.jsonl` (default
+//!   `results/journal/`), where the run id is `<unix-seconds>-<pid>`;
 //! * anything else — treated as the journal file path.
 //!
 //! Each journal line is one JSON object (see [`Record`] for the parsed
@@ -128,24 +128,20 @@ fn init_from_env() {
     // NOTE: `open_sink` (not `install`) is called from inside the Once
     // closure — `Once::call_once` is not reentrant.
     INIT.call_once(|| {
-        let raw = match std::env::var("IBP_TRACE") {
-            Ok(v) => v,
-            Err(_) => return,
-        };
-        match raw.as_str() {
-            "" | "0" => {}
-            "1" => {
-                let path = PathBuf::from("results")
-                    .join("journal")
-                    .join(format!("{}.jsonl", run_id()));
-                if let Err(e) = open_sink(&path) {
-                    eprintln!("warning: IBP_TRACE=1: cannot open {}: {e}", path.display());
-                }
-            }
-            path => {
-                if let Err(e) = open_sink(Path::new(path)) {
-                    eprintln!("warning: IBP_TRACE: cannot open {path}: {e}");
-                }
+        let path = crate::knob("IBP_TRACE", "0, 1 or a journal path", None, |raw| {
+            Ok(match raw {
+                "0" => None,
+                "1" => Some(
+                    crate::results_dir()
+                        .join("journal")
+                        .join(format!("{}.jsonl", run_id())),
+                ),
+                path => Some(PathBuf::from(path)),
+            })
+        });
+        if let Some(path) = path {
+            if let Err(e) = open_sink(&path) {
+                eprintln!("warning: IBP_TRACE: cannot open {}: {e}", path.display());
             }
         }
     });

@@ -16,9 +16,12 @@
 //!   the full log stream regardless of the stderr level.
 //!
 //! Tracing is enabled by `IBP_TRACE` (`1` for the default
-//! `results/journal/<run-id>.jsonl`, or an explicit path — see
+//! `$IBP_RESULTS/journal/<run-id>.jsonl`, or an explicit path — see
 //! [`journal`]); the journal can be read back with [`read_journal`] and
 //! rendered by the `obs_report` binary in `ibp-bench`.
+//!
+//! [`knob`] is the one reader of the workspace's `IBP_*` environment
+//! knobs, and [`results_dir`] the one reader of `IBP_RESULTS`.
 //!
 //! # Example
 //!
@@ -44,6 +47,7 @@ pub mod metrics;
 
 use std::cell::Cell;
 use std::marker::PhantomData;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -276,15 +280,71 @@ macro_rules! event {
 }
 
 /// Parses an `IBP_LOG`-style level string. `Ok` is the numeric level;
-/// `Err` carries the warning to print for unparseable input (which falls
-/// back to level 0).
+/// `Err` carries the reason [`knob`] prints for unparseable input (which
+/// falls back to level 0).
 ///
 /// # Errors
 ///
-/// Returns the warning message when `raw` is not an unsigned integer.
+/// Returns the reason when `raw` is not an unsigned integer.
 pub fn parse_log_level(raw: &str) -> Result<u8, String> {
-    raw.parse::<u8>().map_err(|_| {
-        format!("warning: ignoring invalid IBP_LOG={raw:?} (expected 0, 1 or 2); logging off")
+    raw.parse::<u8>()
+        .map_err(|_| "not an IBP_LOG level".to_string())
+}
+
+/// Reads the environment knob `name` — the one place the workspace reads
+/// an `IBP_*` variable. Unset or empty (whitespace only) gives `default`.
+/// A value `parse` rejects prints one `warning: ignoring invalid NAME=…`
+/// line on stderr, carrying `parse`'s reason (when non-empty) and the
+/// `expected` values, and gives `default`.
+pub fn knob<T>(
+    name: &str,
+    expected: &str,
+    default: T,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> T {
+    let (value, warning) = resolve_knob(name, std::env::var(name).ok(), expected, default, parse);
+    if let Some(warning) = warning {
+        eprintln!("{warning}");
+    }
+    value
+}
+
+/// [`knob`] without the environment: the value `raw` resolves to, plus
+/// the warning to print when `parse` rejects it.
+fn resolve_knob<T>(
+    name: &str,
+    raw: Option<String>,
+    expected: &str,
+    default: T,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> (T, Option<String>) {
+    let Some(raw) = raw.filter(|raw| !raw.trim().is_empty()) else {
+        return (default, None);
+    };
+    match parse(&raw) {
+        Ok(value) => (value, None),
+        Err(reason) => {
+            let reason = if reason.is_empty() {
+                String::new()
+            } else {
+                format!(": {reason}")
+            };
+            let warning = format!(
+                "warning: ignoring invalid {name}={raw:?}{reason} \
+                 (expected {expected}); using the default"
+            );
+            (default, Some(warning))
+        }
+    }
+}
+
+/// The output root every result, cache and journal file lives under:
+/// `IBP_RESULTS`, default `results`. Read on every call, so a harness
+/// that redirects `IBP_RESULTS` mid-process is honoured.
+#[must_use]
+pub fn results_dir() -> PathBuf {
+    knob("IBP_RESULTS", "a directory", PathBuf::from("results"), |raw| {
+        Ok(PathBuf::from(raw))
     })
 }
 
@@ -293,13 +353,7 @@ pub fn parse_log_level(raw: &str) -> Result<u8, String> {
 #[must_use]
 pub fn log_level() -> u8 {
     static LEVEL: OnceLock<u8> = OnceLock::new();
-    *LEVEL.get_or_init(|| match std::env::var("IBP_LOG") {
-        Ok(raw) => parse_log_level(&raw).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            0
-        }),
-        Err(_) => 0,
-    })
+    *LEVEL.get_or_init(|| knob("IBP_LOG", "0, 1 or 2", 0, parse_log_level))
 }
 
 /// Whether log lines at `level` reach stderr (`log_level() >= level`).
@@ -655,6 +709,41 @@ mod tests {
             let e = parse_log_level(bad).unwrap_err();
             assert!(e.contains("IBP_LOG"), "{e}");
         }
+    }
+
+    #[test]
+    fn knob_reader_contract() {
+        let parse = |raw: &str| match raw {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(String::new()),
+        };
+        // (raw value, resolved value, warns)
+        let cases = [
+            (None, true, false),
+            (Some(""), true, false),
+            (Some("  "), true, false),
+            (Some("0"), false, false),
+            (Some("1"), true, false),
+            (Some("banana"), true, true),
+        ];
+        for (raw, want, warns) in cases {
+            let (got, warning) =
+                resolve_knob("IBP_X", raw.map(str::to_string), "0 or 1", true, parse);
+            assert_eq!(got, want, "{raw:?}");
+            assert_eq!(warning.is_some(), warns, "{raw:?}");
+        }
+        let (_, warning) = resolve_knob("IBP_X", Some("banana".into()), "0 or 1", true, parse);
+        assert_eq!(
+            warning.as_deref(),
+            Some("warning: ignoring invalid IBP_X=\"banana\" (expected 0 or 1); using the default")
+        );
+        let (level, warning) =
+            resolve_knob("IBP_LOG", Some("yes".into()), "0, 1 or 2", 0, parse_log_level);
+        assert_eq!(level, 0);
+        assert!(warning.is_some_and(|w| w.contains("not an IBP_LOG level")));
+        // The environment-reading front end agrees on an unset name.
+        assert_eq!(knob("IBP_KNOB_TEST_NEVER_SET", "0 or 1", 7u8, |_| Ok(1)), 7);
     }
 
     #[test]

@@ -45,30 +45,17 @@ const FILE_HEADER: &str = "# ibp engine cache: key\tbenchmark\tevents\twarmup\ti
 /// warn-and-default (unset or invalid mean enabled; only `0` disables).
 pub(crate) fn enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("IBP_CACHE") {
-        Ok(raw) => match raw.as_str() {
-            "0" => false,
-            "1" => true,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_CACHE={raw:?} \
-                     (expected 0 or 1); caching stays enabled"
-                );
-                true
-            }
-        },
-        Err(_) => true,
+    *ENABLED.get_or_init(|| {
+        ibp_obs::knob("IBP_CACHE", "0 or 1", true, |raw| match raw {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(String::new()),
+        })
     })
 }
 
-fn results_dir() -> PathBuf {
-    std::env::var("IBP_RESULTS")
-        .unwrap_or_else(|_| "results".into())
-        .into()
-}
-
 fn cache_root() -> PathBuf {
-    results_dir().join(".cache")
+    ibp_obs::results_dir().join(".cache")
 }
 
 fn version_dir(root: &Path) -> PathBuf {

@@ -55,20 +55,8 @@ use ibp_workload::Benchmark;
 
 use crate::cache::CacheKey;
 use crate::parallel::{self, parallel_map};
-use crate::run::{kernel_enabled, simulate_kernel, simulate_source_kernels, RunStats};
+use crate::run::{simulate_kernel, simulate_source_kernels, RunStats};
 use crate::suite::{Suite, SuiteResult};
-
-/// Demotes a freshly built kernel to the legacy per-event dispatch path
-/// when `IBP_KERNEL=0` (or [`crate::override_kernel`]) asks for it — the
-/// one place the engine consults the knob, so materialised cells and
-/// streamed groups both obey it.
-fn gate_kernel(kernel: FoldKernel) -> FoldKernel {
-    if kernel_enabled() {
-        kernel
-    } else {
-        kernel.demote()
-    }
-}
 
 fn cache() -> &'static Mutex<HashMap<CacheKey, RunStats>> {
     static CACHE: OnceLock<Mutex<HashMap<CacheKey, RunStats>>> = OnceLock::new();
@@ -251,7 +239,7 @@ impl<'a> Sweep<'a> {
     pub fn config(&mut self, cfg: PredictorConfig) -> &mut Self {
         self.jobs.push(Job {
             key: cfg.cache_key(),
-            make: Box::new(move || gate_kernel(cfg.build_kernel())),
+            make: Box::new(move || cfg.build_kernel()),
         });
         self
     }

@@ -134,19 +134,20 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 fn plan() -> &'static Mutex<Plan> {
     static PLAN: OnceLock<Mutex<Plan>> = OnceLock::new();
     PLAN.get_or_init(|| {
-        let parsed = match std::env::var("IBP_FAULTS") {
-            Ok(raw) if !raw.trim().is_empty() => match parse_spec(&raw) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("warning: ignoring invalid IBP_FAULTS={raw:?}: {e} (injection off)");
-                    Plan::default()
-                }
-            },
-            _ => Plan::default(),
-        };
+        let parsed = env_plan();
         apply(&parsed);
         Mutex::new(parsed)
     })
+}
+
+/// The plan `IBP_FAULTS` arms; a malformed spec warns and arms nothing.
+fn env_plan() -> Plan {
+    ibp_obs::knob(
+        "IBP_FAULTS",
+        "clauses like site@n;seed=s",
+        Plan::default(),
+        parse_spec,
+    )
 }
 
 fn lock_plan() -> std::sync::MutexGuard<'static, Plan> {
@@ -308,10 +309,7 @@ pub fn seen(site: &str) -> u64 {
 pub fn override_spec(spec: Option<&str>) -> Result<(), String> {
     let next = match spec {
         Some(raw) => parse_spec(raw)?,
-        None => match std::env::var("IBP_FAULTS") {
-            Ok(raw) if !raw.trim().is_empty() => parse_spec(&raw).unwrap_or_default(),
-            _ => Plan::default(),
-        },
+        None => env_plan(),
     };
     let mut guard = lock_plan();
     apply(&next);

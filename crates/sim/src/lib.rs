@@ -16,11 +16,11 @@
 //! * [`probe`] — the predictor-internals probe layer (`IBP_PROBE`):
 //!   occupancy/aliasing snapshots and per-site miss attribution sampled
 //!   into the run journal, byte-identical results on or off;
-//! * [`trace_cache`] — the persistent binary trace corpus cache
-//!   (`IBP_TRACE_CACHE`): each `(benchmark, events)` trace is generated
-//!   once into an IBPB segment under `results/.cache/traces/` and
-//!   replayed at memory speed by every later suite, materialised or
-//!   streamed, with byte-identical results;
+//! * [`trace_cache`] — the persistent binary trace corpus cache: each
+//!   `(benchmark, events)` trace of 50k events or more is generated once
+//!   into an IBPB segment under `results/.cache/traces/` and replayed at
+//!   memory speed by every later suite, materialised or streamed, with
+//!   byte-identical results;
 //! * [`faults`] — deterministic fault injection (`IBP_FAULTS`): named
 //!   panic and I/O sites firing on one-shot occurrence schedules, which
 //!   exercise the containment layer — a contained worker panic retries
@@ -60,8 +60,8 @@ pub mod trace_cache;
 
 pub use parallel::parallel_map;
 pub use run::{
-    kernel_enabled, override_kernel, simulate, simulate_kernel, simulate_source,
-    simulate_source_kernels, simulate_source_multi, simulate_warm, RunStats,
+    simulate, simulate_kernel, simulate_source, simulate_source_kernels, simulate_source_multi,
+    simulate_warm, RunStats,
 };
 pub use suite::{Suite, SuiteResult};
 

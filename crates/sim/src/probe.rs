@@ -74,20 +74,13 @@ const TOP_SITES: usize = 8;
 
 fn env_policy() -> ProbePolicy {
     static POLICY: OnceLock<ProbePolicy> = OnceLock::new();
-    *POLICY.get_or_init(|| match std::env::var("IBP_PROBE") {
-        Ok(raw) => match raw.as_str() {
-            "" | "0" => ProbePolicy::Off,
-            "1" => ProbePolicy::On,
-            "deep" => ProbePolicy::Deep,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_PROBE={raw:?} \
-                     (expected 0, 1 or \"deep\"); probes off"
-                );
-                ProbePolicy::Off
-            }
-        },
-        Err(_) => ProbePolicy::Off,
+    *POLICY.get_or_init(|| {
+        ibp_obs::knob("IBP_PROBE", "0, 1 or \"deep\"", ProbePolicy::Off, |raw| match raw {
+            "0" => Ok(ProbePolicy::Off),
+            "1" => Ok(ProbePolicy::On),
+            "deep" => Ok(ProbePolicy::Deep),
+            _ => Err(String::new()),
+        })
     })
 }
 

@@ -13,18 +13,10 @@ use crate::run::{simulate_source, RunStats};
 /// `IBP_EVENTS` environment variable (experiments read it once at startup).
 pub(crate) fn default_events() -> u64 {
     static EVENTS: OnceLock<u64> = OnceLock::new();
-    *EVENTS.get_or_init(|| match std::env::var("IBP_EVENTS") {
-        Ok(raw) => match raw.parse() {
-            Ok(events) => events,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_EVENTS={raw:?} \
-                     (expected an unsigned integer); using 120000"
-                );
-                120_000
-            }
-        },
-        Err(_) => 120_000,
+    *EVENTS.get_or_init(|| {
+        ibp_obs::knob("IBP_EVENTS", "an unsigned integer", 120_000, |raw| {
+            raw.parse().map_err(|_| String::new())
+        })
     })
 }
 
@@ -37,19 +29,12 @@ pub(crate) const STREAM_THRESHOLD: u64 = 250_000;
 /// streaming; unset picks by trace length.
 fn stream_override() -> Option<bool> {
     static MODE: OnceLock<Option<bool>> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("IBP_STREAM") {
-        Ok(raw) => match raw.as_str() {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_STREAM={raw:?} \
-                     (expected 0 or 1); choosing by trace length"
-                );
-                None
-            }
-        },
-        Err(_) => None,
+    *MODE.get_or_init(|| {
+        ibp_obs::knob("IBP_STREAM", "0 or 1", None, |raw| match raw {
+            "0" => Ok(Some(false)),
+            "1" => Ok(Some(true)),
+            _ => Err(String::new()),
+        })
     })
 }
 

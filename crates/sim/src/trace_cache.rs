@@ -36,11 +36,10 @@
 //! cache directory is unusable the caller falls back to direct
 //! generation.
 //!
-//! `IBP_TRACE_CACHE=0` disables the cache (warn-and-default parsing like
-//! the other knobs). When enabled, it engages for suites of
-//! [`MIN_CACHE_EVENTS`] events or more — below that, generation is
-//! cheaper than the I/O bookkeeping, and the repo's many tiny test
-//! suites must not write cache files into working directories.
+//! The cache engages for suites of [`MIN_CACHE_EVENTS`] events or more —
+//! below that, generation is cheaper than the I/O bookkeeping, and the
+//! repo's many tiny test suites must not write cache files into working
+//! directories.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -60,26 +59,6 @@ const TRACE_SCHEMA_VERSION: u32 = 1;
 /// [`override_policy`] bypasses the threshold in both directions.
 pub const MIN_CACHE_EVENTS: u64 = 50_000;
 
-/// `IBP_TRACE_CACHE` parsed once with warn-and-default: unset or invalid
-/// mean enabled; only `0` disables.
-fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("IBP_TRACE_CACHE") {
-        Ok(raw) => match raw.as_str() {
-            "0" => false,
-            "1" => true,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid IBP_TRACE_CACHE={raw:?} \
-                     (expected 0 or 1); trace cache stays enabled"
-                );
-                true
-            }
-        },
-        Err(_) => true,
-    })
-}
-
 fn policy_override() -> &'static Mutex<Option<bool>> {
     static OVERRIDE: Mutex<Option<bool>> = Mutex::new(None);
     &OVERRIDE
@@ -90,11 +69,10 @@ fn root_override() -> &'static Mutex<Option<PathBuf>> {
     &ROOT
 }
 
-/// In-process override of the `IBP_TRACE_CACHE` policy: `Some(true)`
-/// forces the cache on regardless of the environment and the
-/// [`MIN_CACHE_EVENTS`] threshold, `Some(false)` forces it off, `None`
-/// restores the environment policy. Process-global — harness binaries
-/// and equivalence tests use it to pin the policy per pass.
+/// In-process override of the cache policy: `Some(true)` forces the
+/// cache on regardless of the [`MIN_CACHE_EVENTS`] threshold,
+/// `Some(false)` forces it off, `None` restores the threshold.
+/// Process-global — equivalence tests use it to pin the policy per pass.
 pub fn override_policy(policy: Option<bool>) {
     *policy_override()
         .lock()
@@ -113,13 +91,10 @@ pub fn override_root(root: Option<PathBuf>) {
 /// Whether the cache would engage for an `events`-long trace.
 #[must_use]
 pub fn engaged(events: u64) -> bool {
-    match *policy_override()
+    policy_override()
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some(policy) => policy,
-        None => env_enabled() && events >= MIN_CACHE_EVENTS,
-    }
+        .unwrap_or(events >= MIN_CACHE_EVENTS)
 }
 
 struct Counters {
@@ -199,9 +174,7 @@ fn traces_root() -> PathBuf {
     {
         return root;
     }
-    PathBuf::from(std::env::var("IBP_RESULTS").unwrap_or_else(|_| "results".into()))
-        .join(".cache")
-        .join("traces")
+    obs::results_dir().join(".cache").join("traces")
 }
 
 fn version_dir(root: &Path) -> PathBuf {

@@ -118,22 +118,6 @@ fn dyn_fallback_arm_matches_legacy_fold() {
     }
 }
 
-/// A demoted kernel (the `IBP_KERNEL=0` escape hatch) is the same
-/// predictor behind the `Dyn` arm — its results must not move either.
-#[test]
-fn demoted_kernel_matches_monomorphized_kernel() {
-    let _guard = serial();
-    let trace = Benchmark::Jhm.trace_with_len(3_000);
-    for cfg in kernel_configs() {
-        let mut fast = cfg.build_kernel();
-        let mut slow = cfg.build_kernel().demote();
-        assert!(!slow.is_monomorphized());
-        let a = simulate_kernel(&mut trace.cursor(), &mut fast, 100).expect("in-memory source");
-        let b = simulate_kernel(&mut trace.cursor(), &mut slow, 100).expect("in-memory source");
-        assert_eq!(a, b, "{}: demotion changes results", cfg.cache_key());
-    }
-}
-
 #[derive(Clone, Default)]
 struct Capture(Arc<Mutex<Vec<u8>>>);
 
