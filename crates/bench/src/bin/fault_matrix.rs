@@ -4,9 +4,9 @@
 //! registered injection site (see `ibp_sim::faults::SITES`) under each
 //! scheduling mode — materialised suites (one queue item per cell) and
 //! streamed suites (one queue item per benchmark group) — the harness
-//! arms the fault at its first occurrence, runs a small sweep (plus a
-//! cache persist and a fresh suite build so the I/O sites are on the
-//! path), and checks that:
+//! arms the fault at its first occurrence, runs a small sweep (on a fresh
+//! suite build, so the trace-cache I/O sites are on the path), and checks
+//! that:
 //!
 //! * the process does not abort, and
 //! * the result tables are byte-identical to the unfaulted materialised
@@ -19,9 +19,9 @@
 //! itself), `ok (not hit)` when the site is off that mode's code path,
 //! and `DIVERGED` — a failure, nonzero exit — when tables differ.
 //!
-//! All output lands in a scratch directory (the harness sets
-//! `IBP_RESULTS` and the trace-cache root before any cache is touched),
-//! so runs never dirty a working tree.
+//! All output lands in a scratch directory (the harness sets the
+//! trace-cache root before any cache is touched and gives every journal
+//! an explicit path), so runs never dirty a working tree.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,9 +42,8 @@ fn usage() -> ! {
 /// The scheduling modes, as (label, streamed).
 const MODES: [(&str, bool); 2] = [("materialised", false), ("streamed", true)];
 
-/// One full pass: fresh suite (so trace-cache I/O is on the path), the
-/// three-config sweep, and a cache persist (so result-cache I/O is on the
-/// path). Returns the canonical table rendering.
+/// One full pass: fresh suite (so trace-cache I/O is on the path) and the
+/// three-config sweep. Returns the canonical table rendering.
 fn run_pass(events: u64, streamed: bool) -> String {
     let suite = Suite::with_streaming(&BENCHMARKS, events, streamed);
     let results = Sweep::new(&suite)
@@ -52,7 +51,6 @@ fn run_pass(events: u64, streamed: bool) -> String {
         .config(PredictorConfig::unconstrained(3))
         .config(PredictorConfig::hybrid(6, 2, 256, 4))
         .run();
-    engine::persist_cache();
     render(&results)
 }
 
@@ -100,10 +98,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // Everything — result cache, trace cache, journals — lands in scratch.
+    // Everything — trace cache, journals — lands in scratch.
     let scratch = std::env::temp_dir().join(format!("ibp-fault-matrix-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
-    std::env::set_var("IBP_RESULTS", &scratch);
     trace_cache::override_root(Some(scratch.join("traces")));
     // Force the trace cache on below its normal threshold so its I/O
     // sites are exercised at harness-sized event counts.

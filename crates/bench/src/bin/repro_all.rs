@@ -27,7 +27,6 @@ fn main() {
         Ok(path) => eprintln!("runtime manifest written to {}", path.display()),
         Err(e) => obs::warn!("could not write manifest.csv: {e}"),
     }
-    ibp_sim::engine::persist_cache();
     ibp_bench::print_summary(&metrics, t0.elapsed());
     obs::flush();
     if let Some(path) = obs::journal::path() {

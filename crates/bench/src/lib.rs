@@ -15,10 +15,8 @@
 //! * `IBP_STREAM` — `1` forces streamed suites (traces regenerated chunk
 //!   by chunk, never materialised), `0` forces materialised suites; unset
 //!   picks by trace length.
-//! * `IBP_RESULTS` — output directory for CSVs, the persistent caches
-//!   and the `IBP_TRACE=1` journal (default `results`).
-//! * `IBP_CACHE` — `0` disables the persistent cross-process result cache
-//!   under `results/.cache/` (default enabled).
+//! * `IBP_RESULTS` — output directory for CSVs, the trace cache and the
+//!   `IBP_TRACE=1` journal (default `results`).
 //! * `IBP_LOG` — stderr log level: `0` quiet (default), `1` per-sweep and
 //!   per-experiment progress, `2` debug detail. Unparseable values warn
 //!   and read as `0`.
@@ -98,7 +96,6 @@ pub fn run_experiment(id: &str) {
     let suite = full_suite();
     let (tables, _metrics) = run_instrumented(&experiment, &suite);
     emit(id, &tables);
-    engine::persist_cache();
     print_trace_cache_summary();
 }
 
@@ -231,8 +228,8 @@ pub fn write_manifest(metrics: &[ExperimentMetrics]) -> std::io::Result<PathBuf>
 #[must_use]
 pub fn manifest_csv(metrics: &[ExperimentMetrics]) -> String {
     let mut csv = String::from(
-        "experiment,wall_seconds,cache_hits,cache_misses,persistent_hits,hit_rate_pct,\
-         simulated_events,events_per_sec,trace_hits,trace_misses,peak_rss_mb\n",
+        "experiment,wall_seconds,cache_hits,cache_misses,hit_rate_pct,simulated_events,\
+         events_per_sec,trace_hits,trace_misses,peak_rss_mb\n",
     );
     for m in metrics {
         let rss = match m.peak_rss {
@@ -240,12 +237,11 @@ pub fn manifest_csv(metrics: &[ExperimentMetrics]) -> String {
             None => String::new(),
         };
         csv.push_str(&format!(
-            "{},{:.3},{},{},{},{:.1},{},{:.0},{},{},{rss}\n",
+            "{},{:.3},{},{},{:.1},{},{:.0},{},{},{rss}\n",
             m.id,
             m.wall.as_secs_f64(),
             m.engine.hits,
             m.engine.misses,
-            m.engine.persistent_hits,
             m.hit_rate_pct(),
             m.engine.simulated_events,
             m.events_per_sec(),
@@ -262,7 +258,6 @@ pub fn print_summary(metrics: &[ExperimentMetrics], total_wall: Duration) {
         EngineStats {
             hits: acc.hits + m.engine.hits,
             misses: acc.misses + m.engine.misses,
-            persistent_hits: acc.persistent_hits + m.engine.persistent_hits,
             simulated_events: acc.simulated_events + m.engine.simulated_events,
             degraded_cells: acc.degraded_cells + m.engine.degraded_cells,
         }
@@ -270,11 +265,6 @@ pub fn print_summary(metrics: &[ExperimentMetrics], total_wall: Duration) {
     let lookups = total.hits + total.misses;
     let hit_pct = if lookups > 0 {
         100.0 * total.hits as f64 / lookups as f64
-    } else {
-        0.0
-    };
-    let persistent_pct = if lookups > 0 {
-        100.0 * total.persistent_hits as f64 / lookups as f64
     } else {
         0.0
     };
@@ -298,11 +288,6 @@ pub fn print_summary(metrics: &[ExperimentMetrics], total_wall: Duration) {
         total.misses,
         total.simulated_events,
     );
-    // One greppable line for the cross-process cache (CI gates on it).
-    eprintln!(
-        "persistent-cache hit rate: {persistent_pct:.1}% ({} of {lookups} lookups)",
-        total.persistent_hits,
-    );
     if total.degraded_cells > 0 {
         eprintln!("degraded cells: {}", total.degraded_cells);
     }
@@ -320,7 +305,6 @@ mod tests {
             engine: EngineStats {
                 hits: 3,
                 misses: 1,
-                persistent_hits: 2,
                 simulated_events: 40,
                 degraded_cells: 0,
             },

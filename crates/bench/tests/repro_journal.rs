@@ -107,7 +107,7 @@ fn repro_all_journals_one_root_span_per_experiment() {
     let header = manifest.lines().next().expect("manifest header");
     assert_eq!(
         header,
-        "experiment,wall_seconds,cache_hits,cache_misses,persistent_hits,hit_rate_pct,simulated_events,events_per_sec,trace_hits,trace_misses,peak_rss_mb"
+        "experiment,wall_seconds,cache_hits,cache_misses,hit_rate_pct,simulated_events,events_per_sec,trace_hits,trace_misses,peak_rss_mb"
     );
     assert_eq!(manifest.lines().count(), experiments.len() + 1);
 
@@ -159,7 +159,8 @@ fn assert_chrome_trace(path: &Path) {
 }
 
 /// `IBP_TRACE=1` journals under the redirected results root, next to the
-/// CSVs, not under a hard-coded `results/`.
+/// CSVs, not under a hard-coded `results/` — and the run leaves no result
+/// cache behind there.
 #[test]
 fn default_journal_follows_ibp_results() {
     let dir = std::env::temp_dir().join(format!("ibp-journal-root-{}", std::process::id()));
@@ -170,7 +171,6 @@ fn default_journal_follows_ibp_results() {
         &[],
         &[
             ("IBP_EVENTS", "2000"),
-            ("IBP_CACHE", "0"),
             ("IBP_TRACE", "1"),
             ("IBP_RESULTS", dir.to_str().expect("utf8 path")),
         ],
@@ -182,6 +182,14 @@ fn default_journal_follows_ibp_results() {
     );
 
     assert!(dir.join("fig2").is_dir(), "CSVs land under IBP_RESULTS");
+    // No result outlives the process: a table kept on disk would be served
+    // unchanged after the predictor or generator code that made it changed.
+    // `.cache/v1/` is where a result cache kept them; traces live apart,
+    // under `.cache/traces/`.
+    assert!(
+        !dir.join(".cache/v1").exists(),
+        "a figure run must not persist its results"
+    );
     let journals: Vec<_> = std::fs::read_dir(dir.join("journal"))
         .expect("journal dir under IBP_RESULTS")
         .flatten()

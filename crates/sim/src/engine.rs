@@ -18,21 +18,19 @@
 //!   `(PredictorConfig::cache_key(), benchmark, events, warmup)` — traces
 //!   are pure functions of `(benchmark, events)`, so a repeated pair is
 //!   guaranteed to reproduce the same [`RunStats`] and is never simulated
-//!   twice, within or across experiments;
-//! * the memo cache is seeded from the **persistent result cache**
-//!   (`results/.cache/`, see [`crate::cache`]) on first use, and
-//!   measurement binaries publish it back via [`persist_cache`] — so the
-//!   guarantee extends across processes (`IBP_CACHE=0` opts out);
+//!   twice, within or across experiments. The cache lives and dies with
+//!   the process: the binary is fixed for its lifetime, so the key is
+//!   sound there, whereas a result kept on disk would outlive a change to
+//!   the predictor or generator code it came from;
 //! * every cell folds on one path: [`simulate_kernel`] over the
 //!   materialised trace, or [`simulate_source_kernels`] for a streamed
 //!   benchmark group — the flat queue alone keeps every core busy;
 //! * global hit/miss/event counters ([`stats`]) let callers report cache
 //!   effectiveness and simulation throughput — they live in the
 //!   [`ibp_obs::metrics`] registry (`engine.cache.hits`,
-//!   `engine.cache.misses`, `engine.cache.persistent_hits`,
-//!   `engine.simulated_events`, plus `parallel.retried_items` behind
-//!   [`EngineStats::degraded_cells`]), so a journal snapshot carries them
-//!   too;
+//!   `engine.cache.misses`, `engine.simulated_events`, plus
+//!   `parallel.retried_items` behind [`EngineStats::degraded_cells`]), so
+//!   a journal snapshot carries them too;
 //! * a worker panic inside a cell (see [`crate::faults`]) never loses the
 //!   cell: [`parallel_map`](crate::parallel_map) contains it, journals a
 //!   `degraded` event and retries the cell inline — the fold is a pure
@@ -44,7 +42,7 @@
 //!
 //! Set `IBP_LOG=1` for a per-sweep progress line on stderr.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -53,31 +51,19 @@ use ibp_obs as obs;
 use ibp_obs::metrics::Counter;
 use ibp_workload::Benchmark;
 
-use crate::cache::CacheKey;
 use crate::parallel::{self, parallel_map};
 use crate::run::{simulate_kernel, simulate_source_kernels, RunStats};
 use crate::suite::{Suite, SuiteResult};
 
+/// Full identity of one memoized run. The trace is a pure function of
+/// `(benchmark, events)`, and the predictor a pure function of the config
+/// key, so within one process this tuple determines the `RunStats`
+/// exactly.
+type CacheKey = (String, Benchmark, u64, u64);
+
 fn cache() -> &'static Mutex<HashMap<CacheKey, RunStats>> {
     static CACHE: OnceLock<Mutex<HashMap<CacheKey, RunStats>>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let loaded = crate::cache::load();
-        if !loaded.is_empty() {
-            obs::info!("[engine] persistent cache: {} entries loaded", loaded.len());
-            persistent_keys()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .extend(loaded.keys().cloned());
-        }
-        Mutex::new(loaded)
-    })
-}
-
-/// Keys that entered the memo cache from disk rather than live simulation
-/// — hits on these count as persistent (cross-process) hits.
-fn persistent_keys() -> &'static Mutex<HashSet<CacheKey>> {
-    static SET: OnceLock<Mutex<HashSet<CacheKey>>> = OnceLock::new();
-    SET.get_or_init(|| Mutex::new(HashSet::new()))
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 fn hits() -> &'static Arc<Counter> {
@@ -90,27 +76,9 @@ fn misses() -> &'static Arc<Counter> {
     C.get_or_init(|| obs::metrics::counter("engine.cache.misses"))
 }
 
-fn persistent_hits() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::metrics::counter("engine.cache.persistent_hits"))
-}
-
 fn simulated_events() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| obs::metrics::counter("engine.simulated_events"))
-}
-
-/// Counts a memo-cache hit, attributing it to the persistent cache when
-/// the key was seeded from disk.
-fn count_hit(key: &CacheKey) {
-    hits().incr();
-    if persistent_keys()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .contains(key)
-    {
-        persistent_hits().incr();
-    }
 }
 
 /// A snapshot of the process-wide engine counters.
@@ -120,10 +88,6 @@ pub struct EngineStats {
     pub hits: u64,
     /// Lookups that had to be simulated.
     pub misses: u64,
-    /// Of the hits, how many were served from results loaded off disk
-    /// (the persistent cross-process cache) rather than computed earlier
-    /// in this process.
-    pub persistent_hits: u64,
     /// Indirect-branch events processed by live simulation (warmup
     /// included); cache hits contribute nothing.
     pub simulated_events: u64,
@@ -140,7 +104,6 @@ impl EngineStats {
         EngineStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
-            persistent_hits: self.persistent_hits - earlier.persistent_hits,
             simulated_events: self.simulated_events - earlier.simulated_events,
             degraded_cells: self.degraded_cells - earlier.degraded_cells,
         }
@@ -154,45 +117,16 @@ pub fn stats() -> EngineStats {
     EngineStats {
         hits: hits().get(),
         misses: misses().get(),
-        persistent_hits: persistent_hits().get(),
         simulated_events: simulated_events().get(),
         degraded_cells: parallel::retried_items(),
     }
 }
 
-/// Publishes the process's memo cache to the persistent result cache on
-/// disk (merging with concurrent publishers; no-op under `IBP_CACHE=0`).
-/// Measurement binaries call this once before exiting.
-pub fn persist_cache() {
-    let entries: Vec<(CacheKey, RunStats)> = cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(|(k, &v)| (k.clone(), v))
-        .collect();
-    match crate::cache::save(&entries) {
-        Ok(0) => {}
-        Ok(n) => obs::info!("[engine] persistent cache: {n} entries saved"),
-        Err(e) => {
-            // Losing the cache costs re-simulation time on the next run,
-            // never correctness — warn, journal, and continue.
-            eprintln!("warning: could not persist the result cache: {e}");
-            let detail = e.to_string();
-            obs::event!("degraded", site = "cache.save", detail = detail.as_str());
-        }
-    }
-}
-
-/// Empties the in-process memo cache (and its record of disk-loaded
-/// keys). For measurement harnesses that need to re-simulate work this
-/// process already saw — e.g. timing two kernel policies against each
-/// other — never needed for correctness.
+/// Empties the in-process memo cache. For measurement harnesses that
+/// need to re-simulate work this process already saw — never needed for
+/// correctness.
 pub fn clear_memo_cache() {
     cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clear();
-    persistent_keys()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .clear();
@@ -299,10 +233,9 @@ impl<'a> Sweep<'a> {
             let mut claimed: HashMap<(&str, Benchmark), ()> = HashMap::new();
             for (j, job) in self.jobs.iter().enumerate() {
                 for (bi, &b) in benchmarks.iter().enumerate() {
-                    let full_key = (job.key.clone(), b, events, self.warmup);
-                    if let Some(&cached) = cache.get(&full_key) {
+                    if let Some(&cached) = cache.get(&(job.key.clone(), b, events, self.warmup)) {
                         results[j][bi] = Some(cached);
-                        count_hit(&full_key);
+                        hits().incr();
                         obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "hit");
                     } else if claimed.insert((job.key.as_str(), b), ()).is_none() {
                         units.push((j, bi));
@@ -356,13 +289,12 @@ impl<'a> Sweep<'a> {
             for (j, job) in self.jobs.iter().enumerate() {
                 for (bi, &b) in benchmarks.iter().enumerate() {
                     if results[j][bi].is_none() {
-                        let full_key = (job.key.clone(), b, events, self.warmup);
                         results[j][bi] = Some(
                             *cache
-                                .get(&full_key)
+                                .get(&(job.key.clone(), b, events, self.warmup))
                                 .expect("duplicate-key slot filled by its representative"),
                         );
-                        count_hit(&full_key);
+                        hits().incr();
                         obs::event!("cell", config = job.key.as_str(), benchmark = b.name(), outcome = "hit");
                     }
                 }

@@ -2,8 +2,8 @@
 //!
 //! The simulator promises that a worker panic or a failed cache write
 //! costs wall time, never correctness: `parallel_map` contains a panic and
-//! retries the cell inline, and every cache I/O failure warns and falls
-//! back. That promise is only worth having if it is exercised, so this module
+//! retries the cell inline, and every trace-cache or journal I/O failure
+//! warns and falls back. That promise is only worth having if it is exercised, so this module
 //! lets a run arm faults at *named sites* that fire at a deterministic
 //! occurrence count — every failure is reproducible from the spec alone.
 //!
@@ -65,16 +65,6 @@ pub const SITES: &[FaultSite] = &[
         name: "parallel.worker",
         kind: FaultKind::Panic,
         what: "parallel_map item fold panics; retried inline on the calling path",
-    },
-    FaultSite {
-        name: "cache.write",
-        kind: FaultKind::Io,
-        what: "persistent result cache tmp write fails (ENOSPC-style); tmp cleaned, warn and continue",
-    },
-    FaultSite {
-        name: "cache.rename",
-        kind: FaultKind::Io,
-        what: "persistent result cache atomic publish rename fails; tmp cleaned, warn and continue",
     },
     FaultSite {
         name: "trace_cache.write",
@@ -339,54 +329,54 @@ mod tests {
     fn unarmed_by_default_and_cheap() {
         let _guard = test_guard();
         override_spec(None).unwrap();
-        assert!(!should_fire("cache.write"));
-        assert_eq!(fired("cache.write"), 0);
+        assert!(!should_fire("trace_cache.write"));
+        assert_eq!(fired("trace_cache.write"), 0);
     }
 
     #[test]
     fn fires_exactly_once_at_the_nth_occurrence() {
         let _guard = test_guard();
-        override_spec(Some("cache.write@3")).unwrap();
-        assert!(!should_fire("cache.write"));
-        assert!(!should_fire("cache.write"));
-        assert!(should_fire("cache.write"));
-        assert!(!should_fire("cache.write"));
-        assert_eq!(fired("cache.write"), 1);
-        assert_eq!(seen("cache.write"), 4);
+        override_spec(Some("trace_cache.write@3")).unwrap();
+        assert!(!should_fire("trace_cache.write"));
+        assert!(!should_fire("trace_cache.write"));
+        assert!(should_fire("trace_cache.write"));
+        assert!(!should_fire("trace_cache.write"));
+        assert_eq!(fired("trace_cache.write"), 1);
+        assert_eq!(seen("trace_cache.write"), 4);
         override_spec(None).unwrap();
     }
 
     #[test]
     fn unarmed_sites_do_not_fire() {
         let _guard = test_guard();
-        override_spec(Some("cache.rename@1")).unwrap();
+        override_spec(Some("trace_cache.rename@1")).unwrap();
         assert!(!should_fire("trace_cache.read"));
-        assert!(io_error("cache.write").is_none());
+        assert!(io_error("trace_cache.write").is_none());
         override_spec(None).unwrap();
     }
 
     #[test]
     fn io_error_carries_the_site_name() {
         let _guard = test_guard();
-        override_spec(Some("cache.write")).unwrap();
-        let e = io_error("cache.write").expect("armed at occurrence 1");
-        assert!(e.to_string().contains("cache.write"));
-        assert!(io_error("cache.write").is_none(), "one-shot");
+        override_spec(Some("trace_cache.write")).unwrap();
+        let e = io_error("trace_cache.write").expect("armed at occurrence 1");
+        assert!(e.to_string().contains("trace_cache.write"));
+        assert!(io_error("trace_cache.write").is_none(), "one-shot");
         override_spec(None).unwrap();
     }
 
     #[test]
     fn seed_derives_occurrences_deterministically() {
         let _guard = test_guard();
-        let a = derive_occurrence(42, "cache.write");
-        let b = derive_occurrence(42, "cache.write");
+        let a = derive_occurrence(42, "trace_cache.write");
+        let b = derive_occurrence(42, "trace_cache.write");
         assert_eq!(a, b);
         assert!((1..=8).contains(&a));
-        override_spec(Some("seed=42;cache.write")).unwrap();
+        override_spec(Some("seed=42;trace_cache.write")).unwrap();
         for _ in 0..a.saturating_sub(1) {
-            assert!(!should_fire("cache.write"));
+            assert!(!should_fire("trace_cache.write"));
         }
-        assert!(should_fire("cache.write"));
+        assert!(should_fire("trace_cache.write"));
         override_spec(None).unwrap();
     }
 

@@ -11,8 +11,7 @@
 //!   paper's group averages (`AVG`, `AVG-OO`, …, Table 3 semantics);
 //! * [`engine`] — the memoizing sweep engine: flattens (config ×
 //!   benchmark) grids into one parallel work queue and never simulates the
-//!   same pair twice across experiments — or across *processes*, via the
-//!   persistent result cache under `results/.cache/`;
+//!   same pair twice across the experiments of one process;
 //! * [`probe`] — the predictor-internals probe layer (`IBP_PROBE`):
 //!   occupancy/aliasing snapshots and per-site miss attribution sampled
 //!   into the run journal, byte-identical results on or off;
@@ -47,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-mod cache;
 pub mod engine;
 pub mod experiments;
 pub mod faults;

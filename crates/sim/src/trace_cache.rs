@@ -18,11 +18,10 @@
 //! a stable hash of `GENERATOR_VERSION` plus every generator parameter.
 //! Any calibration or model change moves the fingerprint, so stale
 //! segments can never be replayed; same-key segments with old
-//! fingerprints are deleted when the new one is published. The schema
-//! version directory mirrors the result cache (`crate::cache`): stale
-//! `v*` siblings are evicted wholesale, and segments are published by
-//! atomic temp-file + rename so concurrent processes never observe a
-//! half-written file.
+//! fingerprints are deleted when the new one is published. Stale schema
+//! version directories (`v*` siblings) are evicted wholesale, and
+//! segments are published by atomic temp-file + rename so concurrent
+//! processes never observe a half-written file.
 //!
 //! # Correctness
 //!
@@ -181,8 +180,9 @@ fn version_dir(root: &Path) -> PathBuf {
     root.join(format!("v{TRACE_SCHEMA_VERSION}"))
 }
 
-/// Deletes `v*` sibling directories of other schema versions, mirroring
-/// the result cache's eviction rule.
+/// Deletes `v*` sibling directories of other schema versions. Their
+/// segments cannot be trusted to mean the same thing, and leaving them
+/// around would grow the cache without bound across schema bumps.
 fn evict_stale(root: &Path) {
     let Ok(entries) = fs::read_dir(root) else {
         return;

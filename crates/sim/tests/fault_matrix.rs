@@ -139,11 +139,9 @@ fn worker_panics_at_first_mid_and_last_occurrence_degrade_without_divergence() {
 #[test]
 fn io_faults_warn_and_continue_without_divergence() {
     let _serial = serial();
-    // All cache traffic lands in scratch: the result cache reads
-    // IBP_RESULTS per call, the trace cache takes an explicit root.
+    // All trace-cache traffic lands in scratch under an explicit root.
     let scratch = std::env::temp_dir().join(format!("ibp-fault-itest-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
-    std::env::set_var("IBP_RESULTS", &scratch);
     trace_cache::override_root(Some(scratch.join("traces")));
     trace_cache::override_policy(Some(true));
 
@@ -151,20 +149,13 @@ fn io_faults_warn_and_continue_without_divergence() {
     // when a group opens its source (streamed), so every pass builds its
     // suite fresh inside the armed window.
     engine::clear_memo_cache();
-    let baseline = {
-        let suite = Suite::with_streaming(&BENCHMARKS, EVENTS, false);
-        let tables = run_sweep(&suite);
-        engine::persist_cache();
-        tables
-    };
+    let baseline = run_sweep(&Suite::with_streaming(&BENCHMARKS, EVENTS, false));
 
     for (mode, streamed) in MODES {
         for site in [
             "trace_cache.write",
             "trace_cache.rename",
             "trace_cache.read",
-            "cache.write",
-            "cache.rename",
             "journal.write",
         ] {
             match site {
@@ -181,7 +172,6 @@ fn io_faults_warn_and_continue_without_divergence() {
             engine::clear_memo_cache();
             let suite = Suite::with_streaming(&BENCHMARKS, EVENTS, streamed);
             let tables = run_sweep(&suite);
-            engine::persist_cache();
             obs::journal::uninstall();
             let fired = faults::fired(site);
             faults::override_spec(None).expect("disarm");

@@ -111,13 +111,6 @@ impl Benchmark {
         }
     }
 
-    /// The inverse of [`name`](Benchmark::name): resolves a display name
-    /// back to the benchmark (used when parsing persisted results).
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Benchmark> {
-        Benchmark::ALL.into_iter().find(|b| b.name() == name)
-    }
-
     /// Whether the benchmark belongs to the object-oriented suite
     /// (Table 1).
     #[must_use]
