@@ -10,11 +10,9 @@
 //! * `IBP_EVENTS` — indirect branches per benchmark trace (default
 //!   120 000). The paper traced 0.03M–6M events per program; larger values
 //!   flatten the long-path warm-up penalty at the cost of run time. Beyond
-//!   250 000 events the suite streams (see `IBP_STREAM`), so even
-//!   multi-million-event runs hold memory constant.
-//! * `IBP_STREAM` — `1` forces streamed suites (traces regenerated chunk
-//!   by chunk, never materialised), `0` forces materialised suites; unset
-//!   picks by trace length.
+//!   250 000 events the suite streams (traces are pulled chunk by chunk,
+//!   never materialised), so even multi-million-event runs hold memory
+//!   constant.
 //! * `IBP_RESULTS` — output directory for CSVs, the trace cache and the
 //!   `IBP_TRACE=1` journal (default `results`).
 //! * `IBP_LOG` — stderr log level: `0` quiet (default), `1` per-sweep and
@@ -31,8 +29,10 @@
 //! * `IBP_FAULTS` — deterministic fault injection (`site@n;seed=s`
 //!   clauses, see `ibp_sim::faults`); unset means injection off.
 //!
-//! Every knob is read through [`ibp_obs::knob`]: unset or empty means the
-//! default, an invalid value warns once and means the default.
+//! All six are resolved once per process into [`ibp_obs::Knobs`]
+//! ([`ibp_obs::knobs`]): unset or empty means the default, an invalid
+//! value warns once and means the default. The journal header records
+//! both the raw variables (`env`) and the resolved values (`knobs`).
 //!
 //! The README's "Environment knobs" table is the authoritative list; keep
 //! the two in sync.
@@ -61,7 +61,7 @@ pub fn full_suite() -> Suite {
 /// Prints the tables and writes one CSV per table under
 /// `$IBP_RESULTS/<id>/`.
 pub fn emit(id: &str, tables: &[Table]) {
-    let dir = obs::results_dir().join(id);
+    let dir = obs::knobs().results.join(id);
     let persisted = fs::create_dir_all(&dir).is_ok();
     for (i, t) in tables.iter().enumerate() {
         println!("{}", t.to_text());
@@ -215,8 +215,8 @@ fn peak_rss_mb(bytes: Option<u64>) -> String {
 /// Propagates directory-creation and write failures; callers decide how to
 /// report them (`repro_all` logs through the event API).
 pub fn write_manifest(metrics: &[ExperimentMetrics]) -> std::io::Result<PathBuf> {
-    let dir = obs::results_dir();
-    fs::create_dir_all(&dir)?;
+    let dir = &obs::knobs().results;
+    fs::create_dir_all(dir)?;
     let path = dir.join("manifest.csv");
     fs::write(&path, manifest_csv(metrics))?;
     Ok(path)

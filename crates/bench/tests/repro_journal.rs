@@ -202,3 +202,51 @@ fn default_journal_follows_ibp_results() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The header records each knob twice: as set in the environment (`env`)
+/// and as the run resolved it (`knobs`). An unusable `IBP_LOG=yes` is
+/// journaled verbatim under `env`, and as the level the run used, 0,
+/// under `knobs`.
+#[test]
+fn journal_header_records_the_resolved_knobs() {
+    let dir = std::env::temp_dir().join(format!("ibp-journal-knobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp results dir");
+    let journal = dir.join("journal.jsonl");
+
+    let out = run(
+        env!("CARGO_BIN_EXE_fig2_btb"),
+        &[],
+        &[
+            ("IBP_EVENTS", "2000"),
+            ("IBP_LOG", "yes"),
+            ("IBP_TRACE", journal.to_str().expect("utf8 path")),
+            ("IBP_RESULTS", dir.to_str().expect("utf8 path")),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "fig2_btb failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.matches("ignoring invalid IBP_LOG=\"yes\"").count(),
+        1,
+        "one warning:\n{stderr}"
+    );
+
+    let records = read_journal(&journal).expect("parse journal");
+    let meta = &records[0];
+    assert_eq!(meta.kind, Kind::Meta);
+    let env = meta.field("env").expect("env object in the header");
+    assert_eq!(env.get("IBP_LOG").and_then(Json::as_str), Some("yes"));
+    let knobs = meta.field("knobs").expect("knobs object in the header");
+    assert_eq!(knobs.get("IBP_LOG").and_then(Json::as_u64), Some(0));
+    assert_eq!(knobs.get("IBP_EVENTS").and_then(Json::as_u64), Some(2000));
+    assert_eq!(
+        knobs.get("IBP_TRACE").and_then(Json::as_str),
+        journal.to_str()
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}

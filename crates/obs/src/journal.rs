@@ -1,6 +1,7 @@
 //! The JSONL run journal: a global sink for spans, events and logs.
 //!
-//! The sink is configured once per process from `IBP_TRACE`:
+//! The sink is configured once per process from the resolved `IBP_TRACE`
+//! knob ([`crate::knobs`]):
 //!
 //! * unset, empty or `0` — tracing disabled (every emit is a cheap
 //!   atomic-load no-op);
@@ -8,11 +9,16 @@
 //!   `results/journal/`), where the run id is `<unix-seconds>-<pid>`;
 //! * anything else — treated as the journal file path.
 //!
+//! The sink also carries the run's probe level (`IBP_PROBE`): probe
+//! records exist only in the journal, so a process without a sink never
+//! probes ([`probe_level`]).
+//!
 //! Each journal line is one JSON object (see [`Record`] for the parsed
 //! form). The first line is a `meta` record identifying the run and what
 //! produced it (run id, timestamps, pid, `available_parallelism`, the git
-//! commit when the working directory is inside a work tree, and every
-//! `IBP_*` variable in the environment); a
+//! commit when the working directory is inside a work tree, every `IBP_*`
+//! variable as set in the environment under `env`, and the values the run
+//! resolved them to under `knobs`); a
 //! [`flush`](crate::flush) at the end of a run appends a `metrics` record
 //! with the full registry snapshot. Lines are flushed as they are written —
 //! record volume is per-cell/per-worker, not per simulated event, so
@@ -22,10 +28,11 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::time::{Instant, SystemTime};
 
 use crate::json::{self, Json};
+use crate::ProbePolicy;
 
 /// Process start reference for journal timestamps.
 fn epoch() -> Instant {
@@ -52,6 +59,7 @@ pub fn thread_id() -> u64 {
 struct Sink {
     writer: Box<dyn Write + Send>,
     path: Option<PathBuf>,
+    probe: ProbePolicy,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -88,7 +96,9 @@ pub fn set_fault_hook(hook: Option<FaultHook>) {
     *fault_hook().lock().unwrap_or_else(PoisonError::into_inner) = hook;
 }
 
-fn run_id() -> String {
+/// `<unix-seconds>-<pid>`: names the default journal file and fills the
+/// `meta` header's `run_id`.
+pub(crate) fn run_id() -> String {
     let unix = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -108,7 +118,8 @@ fn commit() -> Option<String> {
 }
 
 /// The run's provenance fields for the `meta` header: core count, commit
-/// (omitted when unknown) and every `IBP_*` variable, sorted by name.
+/// (omitted when unknown), every `IBP_*` variable as set, sorted by name,
+/// and the resolved knobs.
 fn provenance() -> Vec<(String, Json)> {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut fields = vec![("available_parallelism".to_string(), Json::Num(cores as f64))];
@@ -121,6 +132,7 @@ fn provenance() -> Vec<(String, Json)> {
         .collect();
     knobs.sort_by(|a, b| a.0.cmp(&b.0));
     fields.push(("env".to_string(), Json::Obj(knobs)));
+    fields.push(("knobs".to_string(), crate::knobs().to_json()));
     fields
 }
 
@@ -128,19 +140,9 @@ fn init_from_env() {
     // NOTE: `open_sink` (not `install`) is called from inside the Once
     // closure — `Once::call_once` is not reentrant.
     INIT.call_once(|| {
-        let path = crate::knob("IBP_TRACE", "0, 1 or a journal path", None, |raw| {
-            Ok(match raw {
-                "0" => None,
-                "1" => Some(
-                    crate::results_dir()
-                        .join("journal")
-                        .join(format!("{}.jsonl", run_id())),
-                ),
-                path => Some(PathBuf::from(path)),
-            })
-        });
-        if let Some(path) = path {
-            if let Err(e) = open_sink(&path) {
+        let knobs = crate::knobs();
+        if let Some(path) = &knobs.trace {
+            if let Err(e) = open_sink(path, knobs.probe) {
                 eprintln!("warning: IBP_TRACE: cannot open {}: {e}", path.display());
             }
         }
@@ -155,9 +157,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Opens `path` (creating parent directories) as the journal sink and
-/// writes the `meta` header record. Normally driven by `IBP_TRACE`, but
-/// callable directly (tests, embedding).
+/// Opens `path` (creating parent directories) as the journal sink at the
+/// `IBP_PROBE` level and writes the `meta` header record. Normally driven
+/// by `IBP_TRACE`, but callable directly (tests, embedding).
 ///
 /// # Errors
 ///
@@ -167,10 +169,10 @@ pub fn install(path: &Path) -> std::io::Result<()> {
     // explicit install. Safe here: `install` is never called from inside
     // the Once closure (that path uses `open_sink`).
     INIT.call_once(|| {});
-    open_sink(path)
+    open_sink(path, crate::knobs().probe)
 }
 
-fn open_sink(path: &Path) -> std::io::Result<()> {
+fn open_sink(path: &Path, probe: ProbePolicy) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
@@ -181,6 +183,7 @@ fn open_sink(path: &Path) -> std::io::Result<()> {
     *guard = Some(Sink {
         writer: Box::new(file),
         path: Some(path.to_path_buf()),
+        probe,
     });
     ENABLED.store(true, Ordering::Relaxed);
     drop(guard);
@@ -204,14 +207,44 @@ fn open_sink(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Redirects the journal to an arbitrary writer (no `meta` header). Test
-/// plumbing: lets unit tests capture records in memory.
+/// The in-memory writer behind [`capture`].
+#[derive(Clone, Default)]
+struct Memory(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Memory {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs `body` with the journal in memory (no `meta` header) at probe
+/// level `probe`, then disables the journal and returns `body`'s result
+/// with every record journaled meanwhile, by any thread. Test plumbing.
 #[doc(hidden)]
-pub fn install_writer(writer: Box<dyn Write + Send>) {
+pub fn capture<R>(probe: ProbePolicy, body: impl FnOnce() -> R) -> (R, Vec<Record>) {
     INIT.call_once(|| {});
-    let mut guard = lock_sink();
-    *guard = Some(Sink { writer, path: None });
+    let memory = Memory::default();
+    *lock_sink() = Some(Sink {
+        writer: Box::new(memory.clone()),
+        path: None,
+        probe,
+    });
     ENABLED.store(true, Ordering::Relaxed);
+    let result = body();
+    uninstall();
+    let bytes = memory.0.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    let records = String::from_utf8_lossy(&bytes)
+        .lines()
+        .map(|line| Record::parse(line).expect("captured journal line parses"))
+        .collect();
+    (result, records)
 }
 
 /// Disables the journal and drops the sink. Test plumbing.
@@ -229,6 +262,15 @@ pub fn path() -> Option<PathBuf> {
         return None;
     }
     lock_sink().as_ref().and_then(|s| s.path.clone())
+}
+
+/// The probe level of the active sink; `Off` when the journal is off.
+#[must_use]
+pub fn probe_level() -> ProbePolicy {
+    if !enabled() {
+        return ProbePolicy::Off;
+    }
+    lock_sink().as_ref().map_or(ProbePolicy::Off, |s| s.probe)
 }
 
 /// Serialises and writes one record line. No-op when disabled; write

@@ -20,8 +20,8 @@
 //! [`journal`]); the journal can be read back with [`read_journal`] and
 //! rendered by the `obs_report` binary in `ibp-bench`.
 //!
-//! [`knob`] is the one reader of the workspace's `IBP_*` environment
-//! knobs, and [`results_dir`] the one reader of `IBP_RESULTS`.
+//! [`knobs`] resolves the workspace's six `IBP_*` environment knobs once
+//! per process; it is the only place any of them is read.
 //!
 //! # Example
 //!
@@ -43,16 +43,16 @@
 
 pub mod json;
 pub mod journal;
+mod knobs;
 pub mod metrics;
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use json::Json;
 pub use journal::{enabled, read_journal, read_journal_counting, Kind, Record};
+pub use knobs::{knobs, parse_log_level, resolve_knob, Knobs, ProbePolicy};
 
 /// A field value attached to a span, event or log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -279,87 +279,10 @@ macro_rules! event {
     };
 }
 
-/// Parses an `IBP_LOG`-style level string. `Ok` is the numeric level;
-/// `Err` carries the reason [`knob`] prints for unparseable input (which
-/// falls back to level 0).
-///
-/// # Errors
-///
-/// Returns the reason when `raw` is not an unsigned integer.
-pub fn parse_log_level(raw: &str) -> Result<u8, String> {
-    raw.parse::<u8>()
-        .map_err(|_| "not an IBP_LOG level".to_string())
-}
-
-/// Reads the environment knob `name` — the one place the workspace reads
-/// an `IBP_*` variable. Unset or empty (whitespace only) gives `default`.
-/// A value `parse` rejects prints one `warning: ignoring invalid NAME=…`
-/// line on stderr, carrying `parse`'s reason (when non-empty) and the
-/// `expected` values, and gives `default`.
-pub fn knob<T>(
-    name: &str,
-    expected: &str,
-    default: T,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> T {
-    let (value, warning) = resolve_knob(name, std::env::var(name).ok(), expected, default, parse);
-    if let Some(warning) = warning {
-        eprintln!("{warning}");
-    }
-    value
-}
-
-/// [`knob`] without the environment: the value `raw` resolves to, plus
-/// the warning to print when `parse` rejects it.
-fn resolve_knob<T>(
-    name: &str,
-    raw: Option<String>,
-    expected: &str,
-    default: T,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> (T, Option<String>) {
-    let Some(raw) = raw.filter(|raw| !raw.trim().is_empty()) else {
-        return (default, None);
-    };
-    match parse(&raw) {
-        Ok(value) => (value, None),
-        Err(reason) => {
-            let reason = if reason.is_empty() {
-                String::new()
-            } else {
-                format!(": {reason}")
-            };
-            let warning = format!(
-                "warning: ignoring invalid {name}={raw:?}{reason} \
-                 (expected {expected}); using the default"
-            );
-            (default, Some(warning))
-        }
-    }
-}
-
-/// The output root every result, cache and journal file lives under:
-/// `IBP_RESULTS`, default `results`. Read on every call, so a harness
-/// that redirects `IBP_RESULTS` mid-process is honoured.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    knob("IBP_RESULTS", "a directory", PathBuf::from("results"), |raw| {
-        Ok(PathBuf::from(raw))
-    })
-}
-
-/// The process log level from `IBP_LOG` (0 = quiet, 1 = progress, 2 =
-/// debug; parsed once, unparseable values warn on stderr and read as 0).
-#[must_use]
-pub fn log_level() -> u8 {
-    static LEVEL: OnceLock<u8> = OnceLock::new();
-    *LEVEL.get_or_init(|| knob("IBP_LOG", "0, 1 or 2", 0, parse_log_level))
-}
-
-/// Whether log lines at `level` reach stderr (`log_level() >= level`).
+/// Whether log lines at `level` reach stderr (`IBP_LOG >= level`).
 #[must_use]
 pub fn log_enabled(level: u8) -> bool {
-    log_level() >= level
+    knobs().log >= level
 }
 
 /// Emits one log line: to stderr when `level` is within `IBP_LOG`, and to
@@ -486,39 +409,13 @@ pub fn flush() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex, MutexGuard};
+    use std::sync::{Mutex, MutexGuard};
 
     /// The journal sink is process-global; tests that install/uninstall it
     /// must not interleave.
     fn serial() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[derive(Clone, Default)]
-    struct Capture(Arc<Mutex<Vec<u8>>>);
-
-    impl std::io::Write for Capture {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("capture").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn capture_records(body: impl FnOnce()) -> Vec<Record> {
-        let cap = Capture::default();
-        journal::install_writer(Box::new(cap.clone()));
-        body();
-        journal::uninstall();
-        let bytes = cap.0.lock().expect("capture").clone();
-        String::from_utf8(bytes)
-            .expect("utf8 journal")
-            .lines()
-            .map(|l| Record::parse(l).expect("parseable record"))
-            .collect()
     }
 
     #[test]
@@ -538,7 +435,7 @@ mod tests {
     #[test]
     fn span_nesting_depth_and_drop_order() {
         let _guard = serial();
-        let records = capture_records(|| {
+        let (_, records) = journal::capture(ProbePolicy::Off, || {
             let outer = span!("outer", which = "a");
             {
                 let mut inner = span("inner");
@@ -581,7 +478,7 @@ mod tests {
     #[test]
     fn events_and_logs_are_journaled() {
         let _guard = serial();
-        let records = capture_records(|| {
+        let (_, records) = journal::capture(ProbePolicy::Off, || {
             event!("cell", outcome = "hit", n = 3u64);
             // info! journals even though IBP_LOG is not raised in tests.
             info!("progress {}", 42);
@@ -600,7 +497,7 @@ mod tests {
         let _guard = serial();
         metrics::counter("test.lib.flush_counter").add(5);
         metrics::histogram("test.lib.flush_hist", &[10, 20]).record(15);
-        let records = capture_records(flush);
+        let (_, records) = journal::capture(ProbePolicy::Off, flush);
         let snap = records
             .iter()
             .find(|r| r.kind == Kind::Metrics)
@@ -624,7 +521,7 @@ mod tests {
     #[test]
     fn probe_record_round_trips() {
         let _guard = serial();
-        let records = capture_records(|| {
+        let (_, records) = journal::capture(ProbePolicy::Off, || {
             probe(
                 "gcc/p=8 unbounded",
                 Json::Obj(vec![
@@ -709,41 +606,6 @@ mod tests {
             let e = parse_log_level(bad).unwrap_err();
             assert!(e.contains("IBP_LOG"), "{e}");
         }
-    }
-
-    #[test]
-    fn knob_reader_contract() {
-        let parse = |raw: &str| match raw {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(String::new()),
-        };
-        // (raw value, resolved value, warns)
-        let cases = [
-            (None, true, false),
-            (Some(""), true, false),
-            (Some("  "), true, false),
-            (Some("0"), false, false),
-            (Some("1"), true, false),
-            (Some("banana"), true, true),
-        ];
-        for (raw, want, warns) in cases {
-            let (got, warning) =
-                resolve_knob("IBP_X", raw.map(str::to_string), "0 or 1", true, parse);
-            assert_eq!(got, want, "{raw:?}");
-            assert_eq!(warning.is_some(), warns, "{raw:?}");
-        }
-        let (_, warning) = resolve_knob("IBP_X", Some("banana".into()), "0 or 1", true, parse);
-        assert_eq!(
-            warning.as_deref(),
-            Some("warning: ignoring invalid IBP_X=\"banana\" (expected 0 or 1); using the default")
-        );
-        let (level, warning) =
-            resolve_knob("IBP_LOG", Some("yes".into()), "0, 1 or 2", 0, parse_log_level);
-        assert_eq!(level, 0);
-        assert!(warning.is_some_and(|w| w.contains("not an IBP_LOG level")));
-        // The environment-reading front end agrees on an unset name.
-        assert_eq!(knob("IBP_KNOB_TEST_NEVER_SET", "0 or 1", 7u8, |_| Ok(1)), 7);
     }
 
     #[test]

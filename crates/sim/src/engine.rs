@@ -10,10 +10,11 @@
 //!   benchmarks into one work queue for
 //!   [`parallel_map`](crate::parallel_map), instead of barriering
 //!   per-configuration on 17 traces;
-//! * when the suite streams (`IBP_STREAM=1`, or traces beyond the length
-//!   threshold), the cells of one benchmark share a single chunked
-//!   generator pass ([`simulate_source_multi`]) instead of each
-//!   materialising or regenerating the trace;
+//! * when the suite streams (traces beyond the length threshold, or a
+//!   suite built with [`Suite::with_streaming`]), the cells of one
+//!   benchmark share a single chunked generator pass
+//!   ([`simulate_source_multi`]) instead of each materialising or
+//!   regenerating the trace;
 //! * results are memoized in a process-wide cache keyed by
 //!   `(PredictorConfig::cache_key(), benchmark, events, warmup)` — traces
 //!   are pure functions of `(benchmark, events)`, so a repeated pair is
@@ -514,11 +515,11 @@ mod tests {
         let cfg = PredictorConfig::unconstrained(6).with_pattern_budget(15);
         let clean = run_config(&suite, cfg.clone());
         clear_memo_cache();
-        crate::faults::override_spec(Some("parallel.worker@1")).unwrap();
+        let armed = crate::faults::arm("parallel.worker@1").unwrap();
         let before = stats();
         let faulted = run_config(&suite, cfg);
         let delta = stats().since(before);
-        crate::faults::override_spec(None).unwrap();
+        drop(armed);
         assert_eq!(delta.degraded_cells, 1, "one inline retry");
         assert_eq!(delta.misses, 2, "the retried cell is still one simulation");
         assert_eq!(faulted.rates(), clean.rates(), "retry is byte-identical");

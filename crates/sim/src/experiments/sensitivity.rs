@@ -13,7 +13,7 @@ use ibp_workload::Benchmark;
 use crate::parallel_map;
 use crate::report::{Cell, Table};
 use crate::run::simulate_source_multi;
-use crate::suite::{streaming_enabled, Suite};
+use crate::suite::{Suite, STREAM_THRESHOLD};
 
 /// Path lengths probed.
 pub const PATHS: [usize; 4] = [3, 6, 9, 12];
@@ -53,7 +53,7 @@ pub fn run_with_lengths(lengths: &[u64]) -> Vec<Table> {
                 .collect();
             let mut refs: Vec<&mut (dyn Predictor + 'static)> =
                 predictors.iter_mut().map(|p| &mut **p).collect();
-            let stats = if streaming_enabled(events) {
+            let stats = if events > STREAM_THRESHOLD {
                 simulate_source_multi(&mut b.source(events), &mut refs, 0)
             } else {
                 let trace = b.trace_with_len(events);

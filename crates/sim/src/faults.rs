@@ -24,14 +24,15 @@
 //! Unset or empty means injection is off (the only extra cost on hot
 //! paths is one relaxed atomic load). A malformed spec warns and leaves
 //! injection off — a bad knob must never corrupt a measurement run.
+//! Tests arm their own spec with [`arm`].
 //!
 //! Each armed site fires **exactly once** per arming: the n-th call to
 //! [`should_fire`] for that site returns true, every other call false.
 //! One-shot semantics are what make the inline retry safe to drive under
 //! injection — the retry never re-trips the same fault.
 //!
-//! The registered sites are listed in [`SITES`]; `fault_matrix` sweeps
-//! all of them under every scheduling mode.
+//! The registered sites are listed in [`SITES`]; the `fault_matrix`
+//! integration test sweeps all of them under every scheduling mode.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -59,7 +60,7 @@ pub struct FaultSite {
     pub what: &'static str,
 }
 
-/// Every site the harness can arm. `fault_matrix` iterates this table.
+/// Every site a spec can arm. The `fault_matrix` test covers this table.
 pub const SITES: &[FaultSite] = &[
     FaultSite {
         name: "parallel.worker",
@@ -124,16 +125,21 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 fn plan() -> &'static Mutex<Plan> {
     static PLAN: OnceLock<Mutex<Plan>> = OnceLock::new();
     PLAN.get_or_init(|| {
-        let parsed = env_plan();
+        let (parsed, warning) = plan_for(ibp_obs::knobs().faults.clone());
+        if let Some(warning) = warning {
+            eprintln!("{warning}");
+        }
         apply(&parsed);
         Mutex::new(parsed)
     })
 }
 
-/// The plan `IBP_FAULTS` arms; a malformed spec warns and arms nothing.
-fn env_plan() -> Plan {
-    ibp_obs::knob(
+/// Resolves a raw `IBP_FAULTS` spec into the plan it arms, with the
+/// warning to print when it is malformed (it then arms nothing).
+fn plan_for(spec: Option<String>) -> (Plan, Option<String>) {
+    ibp_obs::resolve_knob(
         "IBP_FAULTS",
+        spec,
         "clauses like site@n;seed=s",
         Plan::default(),
         parse_spec,
@@ -287,24 +293,36 @@ pub fn seen(site: &str) -> u64 {
         .map_or(0, |a| a.seen)
 }
 
-/// Replaces the plan for this process: `Some(spec)` arms the spec
-/// (counters zeroed), `None` restores the `IBP_FAULTS` environment
-/// parse. Harness plumbing (`fault_matrix`, tests) — the env itself is
-/// read once.
+/// A spec armed by [`arm`]. Dropping it restores the `IBP_FAULTS` plan
+/// with fresh counters — also when the code that armed it panics, so a
+/// failed test cannot leave a fault armed for the next one.
+#[derive(Debug)]
+#[must_use = "dropping the guard disarms the spec at once"]
+pub struct Armed(());
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        install(plan_for(ibp_obs::knobs().faults.clone()).0);
+    }
+}
+
+/// Arms `spec` for this process (counters zeroed) until the returned
+/// guard drops. Guards do not nest: arming replaces whatever plan is in
+/// force, and any guard's drop restores the `IBP_FAULTS` plan.
 ///
 /// # Errors
 ///
-/// Returns the parse error message for a malformed spec; the previous
-/// plan stays armed.
-pub fn override_spec(spec: Option<&str>) -> Result<(), String> {
-    let next = match spec {
-        Some(raw) => parse_spec(raw)?,
-        None => env_plan(),
-    };
+/// Returns the parse error message for a malformed spec; the plan in
+/// force stays armed.
+pub fn arm(spec: &str) -> Result<Armed, String> {
+    install(parse_spec(spec)?);
+    Ok(Armed(()))
+}
+
+fn install(next: Plan) {
     let mut guard = lock_plan();
     apply(&next);
     *guard = next;
-    Ok(())
 }
 
 /// Renders a panic payload (from `catch_unwind` or a failed join) as the
@@ -328,7 +346,6 @@ mod tests {
     #[test]
     fn unarmed_by_default_and_cheap() {
         let _guard = test_guard();
-        override_spec(None).unwrap();
         assert!(!should_fire("trace_cache.write"));
         assert_eq!(fired("trace_cache.write"), 0);
     }
@@ -336,33 +353,30 @@ mod tests {
     #[test]
     fn fires_exactly_once_at_the_nth_occurrence() {
         let _guard = test_guard();
-        override_spec(Some("trace_cache.write@3")).unwrap();
+        let _armed = arm("trace_cache.write@3").unwrap();
         assert!(!should_fire("trace_cache.write"));
         assert!(!should_fire("trace_cache.write"));
         assert!(should_fire("trace_cache.write"));
         assert!(!should_fire("trace_cache.write"));
         assert_eq!(fired("trace_cache.write"), 1);
         assert_eq!(seen("trace_cache.write"), 4);
-        override_spec(None).unwrap();
     }
 
     #[test]
     fn unarmed_sites_do_not_fire() {
         let _guard = test_guard();
-        override_spec(Some("trace_cache.rename@1")).unwrap();
+        let _armed = arm("trace_cache.rename@1").unwrap();
         assert!(!should_fire("trace_cache.read"));
         assert!(io_error("trace_cache.write").is_none());
-        override_spec(None).unwrap();
     }
 
     #[test]
     fn io_error_carries_the_site_name() {
         let _guard = test_guard();
-        override_spec(Some("trace_cache.write")).unwrap();
+        let _armed = arm("trace_cache.write").unwrap();
         let e = io_error("trace_cache.write").expect("armed at occurrence 1");
         assert!(e.to_string().contains("trace_cache.write"));
         assert!(io_error("trace_cache.write").is_none(), "one-shot");
-        override_spec(None).unwrap();
     }
 
     #[test]
@@ -372,23 +386,112 @@ mod tests {
         let b = derive_occurrence(42, "trace_cache.write");
         assert_eq!(a, b);
         assert!((1..=8).contains(&a));
-        override_spec(Some("seed=42;trace_cache.write")).unwrap();
+        let _armed = arm("seed=42;trace_cache.write").unwrap();
         for _ in 0..a.saturating_sub(1) {
             assert!(!should_fire("trace_cache.write"));
         }
         assert!(should_fire("trace_cache.write"));
-        override_spec(None).unwrap();
     }
 
     #[test]
     fn malformed_specs_are_rejected() {
         let _guard = test_guard();
-        assert!(override_spec(Some("no.such.site@1")).is_err());
-        assert!(override_spec(Some("parallel.worker@0")).is_err());
-        assert!(override_spec(Some("watchdog=250")).is_err(), "retired term");
-        assert!(override_spec(Some("seed=banana")).is_err());
-        assert!(override_spec(Some("parallel.worker@two")).is_err());
-        override_spec(None).unwrap();
+        assert!(arm("no.such.site@1").is_err());
+        assert!(arm("parallel.worker@0").is_err());
+        assert!(arm("watchdog=250").is_err(), "retired term");
+        assert!(arm("seed=banana").is_err());
+        assert!(arm("parallel.worker@two").is_err());
+        assert!(!active(), "a rejected spec arms nothing");
+    }
+
+    #[test]
+    fn dropping_the_guard_disarms_even_on_panic() {
+        let _guard = test_guard();
+        let outcome = std::panic::catch_unwind(|| {
+            let _armed = arm("trace_cache.write@1").unwrap();
+            panic!("test body fails while armed");
+        });
+        assert!(outcome.is_err());
+        assert!(!active());
+        assert!(io_error("trace_cache.write").is_none());
+    }
+
+    /// `site@n` for every armed site, sorted: a plan rendered for
+    /// comparison.
+    fn armed_sites(plan: &Plan) -> String {
+        let mut arms: Vec<String> = plan
+            .arms
+            .iter()
+            .map(|(site, arm)| format!("{site}@{}", arm.fire_at))
+            .collect();
+        arms.sort();
+        arms.join(";")
+    }
+
+    /// Resolves the environment `{name: raw}` through both resolvers:
+    /// the knobs, the fault plan, and every warning either would print.
+    fn resolve(name: &str, raw: Option<&str>) -> (ibp_obs::Knobs, Plan, Vec<String>) {
+        let (knobs, mut warnings) =
+            ibp_obs::Knobs::resolve(|n| raw.filter(|_| n == name).map(str::to_string));
+        let (plan, warning) = plan_for(knobs.faults.clone());
+        warnings.extend(warning);
+        (knobs, plan, warnings)
+    }
+
+    /// The contract every knob keeps, over the pure resolvers: unset,
+    /// empty and whitespace-only values give the default silently, a
+    /// valid value is used, and an invalid one gives the default plus
+    /// exactly one warning naming the knob. `IBP_RESULTS` and `IBP_TRACE`
+    /// take any non-blank value as a path, so they have no invalid case.
+    /// `IBP_FAULTS` runs through both resolvers: `ibp_obs` keeps the raw
+    /// spec and [`plan_for`] parses it against the registered sites.
+    #[test]
+    fn knob_contract() {
+        type Reading = fn(&ibp_obs::Knobs, &Plan) -> String;
+        // (knob, valid value, what it resolves to, invalid value, reading)
+        let cases: [(&str, &str, &str, Option<&str>, Reading); 6] = [
+            ("IBP_EVENTS", "2000", "2000", Some("1e3"), |k, _| k.events.to_string()),
+            ("IBP_RESULTS", "out", "out", None, |k, _| k.results.display().to_string()),
+            ("IBP_LOG", "2", "2", Some("yes"), |k, _| k.log.to_string()),
+            ("IBP_TRACE", "t.jsonl", "Some(\"t.jsonl\")", None, |k, _| format!("{:?}", k.trace)),
+            ("IBP_PROBE", "deep", "deep", Some("full"), |k, _| k.probe.as_str().to_string()),
+            ("IBP_FAULTS", "parallel.worker@3", "parallel.worker@3", Some("x@1"), |_, p| {
+                armed_sites(p)
+            }),
+        ];
+        for (name, valid, want, invalid, read) in cases {
+            let (k, p, _) = resolve(name, None);
+            let default = read(&k, &p);
+            assert_ne!(want, default, "{name}: the valid case must differ from the default");
+            for raw in [None, Some(""), Some("  "), Some(valid)] {
+                let (k, p, warnings) = resolve(name, raw);
+                let expect = if raw == Some(valid) { want } else { &default };
+                assert_eq!(read(&k, &p), expect, "{name}={raw:?}");
+                assert!(warnings.is_empty(), "{name}={raw:?}: {warnings:?}");
+            }
+            if let Some(bad) = invalid {
+                let (k, p, warnings) = resolve(name, Some(bad));
+                assert_eq!(read(&k, &p), default, "{name}={bad:?}");
+                assert_eq!(warnings.len(), 1, "{name}={bad:?}: {warnings:?}");
+                let head = format!("warning: ignoring invalid {name}={bad:?}");
+                assert!(warnings[0].starts_with(&head), "{}", warnings[0]);
+            }
+        }
+        // The warnings keep their exact wording, with and without a reason.
+        assert_eq!(
+            resolve("IBP_PROBE", Some("full")).2,
+            ["warning: ignoring invalid IBP_PROBE=\"full\" \
+              (expected 0, 1 or \"deep\"); using the default"]
+        );
+        assert_eq!(
+            resolve("IBP_FAULTS", Some("parallel.worker@0")).2,
+            ["warning: ignoring invalid IBP_FAULTS=\"parallel.worker@0\": \
+              occurrence in \"parallel.worker@0\" is 1-based, got 0 \
+              (expected clauses like site@n;seed=s); using the default"]
+        );
+        // `IBP_TRACE=1` names a journal under the results root.
+        let journal = resolve("IBP_TRACE", Some("1")).0.trace.expect("journal path");
+        assert!(journal.starts_with("results/journal"), "{}", journal.display());
     }
 
     #[test]

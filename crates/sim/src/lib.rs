@@ -64,8 +64,8 @@ pub use run::{
 pub use suite::{Suite, SuiteResult};
 
 /// Serialises the unit tests that touch process-global state: armed fault
-/// sites, the override slots, and the engine and trace-cache counters
-/// whose exact deltas they assert. Every such test holds this one guard,
+/// sites, the journal sink, and the engine and trace-cache counters whose
+/// exact deltas they assert. Every such test holds this one guard,
 /// so none of them observes another's faults or counts.
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {

@@ -218,12 +218,11 @@ mod tests {
     #[test]
     fn injected_panic_is_contained_and_retried() {
         let _guard = crate::test_guard();
-        faults::override_spec(Some("parallel.worker@3")).unwrap();
+        let _armed = faults::arm("parallel.worker@3").unwrap();
         let items: Vec<u64> = (0..12).collect();
         let out = parallel_map(&items, |&x| x * 3);
         assert_eq!(out, (0..12).map(|x| x * 3).collect::<Vec<_>>());
         assert_eq!(faults::fired("parallel.worker"), 1);
-        faults::override_spec(None).unwrap();
     }
 
     #[test]

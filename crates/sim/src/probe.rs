@@ -23,15 +23,15 @@
 //!   ([`ibp_obs::probe`]), rendered by `obs_report --internals`.
 //!
 //! The layer is gated by `IBP_PROBE` (`0`/unset off, `1` on, `deep` adds
-//! interval samples and the cold/capacity split) and is inert unless the
-//! journal is active (`IBP_TRACE`). When off, the prediction hot path pays
+//! interval samples and the cold/capacity split). The level travels with
+//! the journal sink (`IBP_TRACE`), so the layer is inert unless a journal
+//! is open: no journal, no probes. When off, the prediction hot path pays
 //! one relaxed atomic load and a branch; when on, probe counters are
 //! write-only side state that the prediction path never reads, so scored
 //! results are byte-identical either way — the equivalence tests pin that
 //! down.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::{Mutex, OnceLock};
 
 use ibp_core::snapshot::{HistorySnapshot, Snapshot, TableSnapshot};
 use ibp_core::Predictor;
@@ -39,32 +39,7 @@ use ibp_obs as obs;
 use ibp_obs::json::Json;
 use ibp_trace::Addr;
 
-/// How much predictor-internal telemetry a run collects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbePolicy {
-    /// No probes (`IBP_PROBE=0` or unset): the hot path pays one branch.
-    Off,
-    /// Sample snapshots at end-of-warmup and end-of-run, attribute scored
-    /// misses per site (`IBP_PROBE=1`).
-    On,
-    /// Everything `On` does, plus periodic interval snapshots and the
-    /// cold/capacity split of no-entry misses (`IBP_PROBE=deep`).
-    Deep,
-}
-
-impl ProbePolicy {
-    /// Whether any probing is active.
-    #[must_use]
-    pub fn on(self) -> bool {
-        self != ProbePolicy::Off
-    }
-
-    /// Whether deep (interval + cold/capacity) probing is active.
-    #[must_use]
-    pub fn deep(self) -> bool {
-        self == ProbePolicy::Deep
-    }
-}
+pub use ibp_obs::ProbePolicy;
 
 /// Scored events between two `interval` snapshots under `deep`.
 pub(crate) const DEEP_INTERVAL: u64 = 8_192;
@@ -72,55 +47,13 @@ pub(crate) const DEEP_INTERVAL: u64 = 8_192;
 /// How many aliasing-heavy sites a probe record keeps.
 const TOP_SITES: usize = 8;
 
-fn env_policy() -> ProbePolicy {
-    static POLICY: OnceLock<ProbePolicy> = OnceLock::new();
-    *POLICY.get_or_init(|| {
-        ibp_obs::knob("IBP_PROBE", "0, 1 or \"deep\"", ProbePolicy::Off, |raw| match raw {
-            "0" => Ok(ProbePolicy::Off),
-            "1" => Ok(ProbePolicy::On),
-            "deep" => Ok(ProbePolicy::Deep),
-            _ => Err(String::new()),
-        })
-    })
-}
-
-fn override_slot() -> &'static Mutex<Option<ProbePolicy>> {
-    static SLOT: Mutex<Option<ProbePolicy>> = Mutex::new(None);
-    &SLOT
-}
-
-/// Replaces the `IBP_PROBE` policy for this process (`None` restores the
-/// environment's). For tests and measurement binaries that compare
-/// policies within one process — the environment variable is read once.
-pub fn override_policy(policy: Option<ProbePolicy>) {
-    *override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = policy;
-}
-
-/// The configured probe policy: the process-wide override if one is set
-/// ([`override_policy`]), else `IBP_PROBE` parsed once with
-/// warn-and-default.
-#[must_use]
-pub fn probe_policy() -> ProbePolicy {
-    override_slot()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .unwrap_or_else(env_policy)
-}
-
-/// The policy a run should actually use, with the core-crate counter gate
-/// synced to it. Probe records only exist in the journal, so the policy
-/// degrades to `Off` while tracing is disabled — no journal, no reason to
-/// pay for counters. Every concurrent cell computes the same value, so
-/// the racing gate stores are benign.
+/// The probe level a run uses — the level the journal sink carries, `Off`
+/// without a journal — with the core-crate counter gate synced to it.
+/// Every concurrent fold reads the same sink, so the racing gate stores
+/// are benign.
 #[must_use]
 pub fn active_policy() -> ProbePolicy {
-    let policy = if obs::enabled() {
-        probe_policy()
-    } else {
-        ProbePolicy::Off
-    };
+    let policy = obs::journal::probe_level();
     ibp_core::set_probe_counters(policy.on());
     policy
 }
@@ -406,29 +339,15 @@ mod tests {
     }
 
     #[test]
-    fn override_policy_wins_over_environment() {
-        let _guard = crate::test_guard();
-        override_policy(Some(ProbePolicy::Deep));
-        assert_eq!(probe_policy(), ProbePolicy::Deep);
-        assert!(probe_policy().on());
-        assert!(probe_policy().deep());
-        override_policy(Some(ProbePolicy::Off));
-        assert!(!probe_policy().on());
-        override_policy(None);
-    }
-
-    #[test]
     fn inactive_without_tracing() {
         let _guard = crate::test_guard();
-        // No journal installed in this test: whatever the policy says, the
-        // active policy is Off and the core gate follows it.
-        if obs::enabled() {
-            return; // another test installed a sink; skip rather than race
-        }
-        override_policy(Some(ProbePolicy::Deep));
+        obs::journal::uninstall();
+        // No journal: no probes, and the core gate follows.
         assert_eq!(active_policy(), ProbePolicy::Off);
         assert!(!ibp_core::probe_counters_on());
-        override_policy(None);
+        let (deep, _) = obs::journal::capture(ProbePolicy::Deep, active_policy);
+        assert_eq!(deep, ProbePolicy::Deep);
+        assert_eq!(active_policy(), ProbePolicy::Off);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The benchmark suite: traces, per-benchmark rates, group averages.
 
-use std::sync::OnceLock;
+use std::path::{Path, PathBuf};
 
 use ibp_core::Predictor;
 use ibp_trace::{EventSource, Trace, TraceStats};
@@ -9,40 +9,10 @@ use ibp_workload::{Benchmark, BenchmarkGroup};
 use crate::parallel::parallel_map;
 use crate::run::{simulate_source, RunStats};
 
-/// Default indirect-branch events per benchmark trace. Overridable with the
-/// `IBP_EVENTS` environment variable (experiments read it once at startup).
-pub(crate) fn default_events() -> u64 {
-    static EVENTS: OnceLock<u64> = OnceLock::new();
-    *EVENTS.get_or_init(|| {
-        ibp_obs::knob("IBP_EVENTS", "an unsigned integer", 120_000, |raw| {
-            raw.parse().map_err(|_| String::new())
-        })
-    })
-}
-
-/// Above this trace length, suites stream by default instead of
-/// materialising (a materialised 17-benchmark suite at 250k events is
-/// already several hundred MB with interleaved conditionals).
+/// Above this trace length, suites stream instead of materialising (a
+/// materialised 17-benchmark suite at 250k events is already several
+/// hundred MB with interleaved conditionals).
 pub(crate) const STREAM_THRESHOLD: u64 = 250_000;
-
-/// `IBP_STREAM` override: `0` forces materialised suites, `1` forces
-/// streaming; unset picks by trace length.
-fn stream_override() -> Option<bool> {
-    static MODE: OnceLock<Option<bool>> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        ibp_obs::knob("IBP_STREAM", "0 or 1", None, |raw| match raw {
-            "0" => Ok(Some(false)),
-            "1" => Ok(Some(true)),
-            _ => Err(String::new()),
-        })
-    })
-}
-
-/// Whether a suite of `events`-long traces streams (regenerates events
-/// chunk by chunk per consumer) rather than materialising whole traces.
-pub(crate) fn streaming_enabled(events: u64) -> bool {
-    stream_override().unwrap_or(events > STREAM_THRESHOLD)
-}
 
 /// How a suite holds one benchmark's events.
 #[derive(Debug)]
@@ -57,9 +27,8 @@ enum TraceHandle {
 
 /// A set of benchmark traces reused across predictor configurations.
 ///
-/// At moderate lengths (up to [`STREAM_THRESHOLD`], or forced via
-/// `IBP_STREAM=0`) traces are generated once and materialised. Beyond
-/// that (or with `IBP_STREAM=1`) the suite holds no events at all:
+/// At moderate lengths (up to [`STREAM_THRESHOLD`]) traces are generated
+/// once and materialised. Beyond that the suite holds no events at all:
 /// consumers pull chunked, resumable generator passes through
 /// [`source`](Suite::source), which makes million-event suites run in
 /// constant memory. Both modes produce event-identical streams.
@@ -67,6 +36,8 @@ enum TraceHandle {
 pub struct Suite {
     entries: Vec<(Benchmark, TraceHandle)>,
     events: u64,
+    /// The trace corpus root traces are replayed from, if any.
+    corpus: Option<PathBuf>,
 }
 
 impl Suite {
@@ -80,33 +51,36 @@ impl Suite {
     /// Builds the given benchmarks at the default trace length.
     #[must_use]
     pub fn with_benchmarks(benchmarks: &[Benchmark]) -> Self {
-        Suite::with_benchmarks_and_len(benchmarks, default_events())
+        Suite::with_benchmarks_and_len(benchmarks, ibp_obs::knobs().events)
     }
 
-    /// Builds the given benchmarks with `events` indirect branches each
-    /// (materialised or streamed per the `IBP_STREAM` policy).
+    /// Builds the given benchmarks with `events` indirect branches each:
+    /// streamed beyond [`STREAM_THRESHOLD`] events, materialised up to it,
+    /// and replayed from the default trace corpus when it engages
+    /// ([`trace_cache::default_corpus`](crate::trace_cache::default_corpus)).
     #[must_use]
     pub fn with_benchmarks_and_len(benchmarks: &[Benchmark], events: u64) -> Self {
-        Suite::with_streaming(benchmarks, events, streaming_enabled(events))
+        let corpus = crate::trace_cache::default_corpus(events);
+        Suite::with_streaming(benchmarks, events, events > STREAM_THRESHOLD, corpus.as_deref())
     }
 
     /// Like [`with_benchmarks_and_len`](Suite::with_benchmarks_and_len),
-    /// with the scheduling mode chosen by the caller instead of the
-    /// `IBP_STREAM` policy: `streamed` suites hold no events. Harnesses
-    /// use this to drive both modes within one process.
+    /// with the scheduling mode and the trace corpus chosen by the caller:
+    /// `streamed` suites hold no events, and `corpus` is the root whose
+    /// segments every trace is replayed from (`None` generates directly).
+    /// Harnesses use this to drive both modes, with and without a corpus,
+    /// within one process.
     #[must_use]
-    pub fn with_streaming(benchmarks: &[Benchmark], events: u64, streamed: bool) -> Self {
+    pub fn with_streaming(
+        benchmarks: &[Benchmark],
+        events: u64,
+        streamed: bool,
+        corpus: Option<&Path>,
+    ) -> Self {
         let mut span =
             ibp_obs::span!("generate_traces", benchmarks = benchmarks.len(), events = events);
         span.note("mode", if streamed { "streamed" } else { "materialized" });
-        span.note(
-            "trace_cache",
-            if crate::trace_cache::engaged(events) {
-                "on"
-            } else {
-                "off"
-            },
-        );
+        span.note("trace_cache", if corpus.is_some() { "on" } else { "off" });
         let entries = if streamed {
             benchmarks
                 .iter()
@@ -114,12 +88,17 @@ impl Suite {
                 .collect()
         } else {
             parallel_map(benchmarks, |&b| {
-                let trace = crate::trace_cache::trace_for(b, events)
+                let trace = corpus
+                    .and_then(|root| crate::trace_cache::trace_at(root, b, events))
                     .unwrap_or_else(|| b.trace_with_len(events));
                 (b, TraceHandle::Materialized(trace))
             })
         };
-        Suite { entries, events }
+        Suite {
+            entries,
+            events,
+            corpus: corpus.map(Path::to_path_buf),
+        }
     }
 
     /// The indirect-branch event count each trace was generated with.
@@ -183,7 +162,11 @@ impl Suite {
     pub fn source(&self, benchmark: Benchmark) -> Box<dyn EventSource + '_> {
         match self.handle(benchmark) {
             TraceHandle::Materialized(trace) => Box::new(trace.cursor()),
-            TraceHandle::Streamed => match crate::trace_cache::source_for(benchmark, self.events) {
+            TraceHandle::Streamed => match self
+                .corpus
+                .as_deref()
+                .and_then(|root| crate::trace_cache::source_at(root, benchmark, self.events))
+            {
                 Some(replay) => Box::new(replay),
                 None => Box::new(benchmark.source(self.events)),
             },
@@ -342,22 +325,22 @@ mod tests {
     #[test]
     fn long_suites_stream_without_materialising() {
         // Construction is free: no generation happens until a source is
-        // pulled, and then only chunk by chunk. Pin the trace cache off so
-        // pulling a 250k source here does not write a segment file into
-        // the crate's working directory.
-        let _guard = crate::test_guard();
-        crate::trace_cache::override_policy(Some(false));
-        let s = Suite::with_benchmarks_and_len(&[Benchmark::Ixx], STREAM_THRESHOLD + 1);
+        // pulled, and then only chunk by chunk. The default constructor
+        // picks the mode; the pulled source comes from a corpus-less twin
+        // so that a 250k source here writes no segment file into the
+        // crate's working directory.
+        let events = STREAM_THRESHOLD + 1;
+        let s = Suite::with_benchmarks_and_len(&[Benchmark::Ixx], events);
         assert!(s.streamed());
+        assert!(!Suite::with_benchmarks_and_len(&[Benchmark::Ixx], 5_000).streamed());
         assert_eq!(s.benchmarks(), vec![Benchmark::Ixx]);
+        let s = Suite::with_streaming(&[Benchmark::Ixx], events, true, None);
         let mut src = s.source(Benchmark::Ixx);
-        assert_eq!(src.remaining_indirect(), Some(STREAM_THRESHOLD + 1));
+        assert_eq!(src.remaining_indirect(), Some(events));
         let mut chunk = ibp_trace::TraceChunk::default();
         let more = src.fill(&mut chunk, 64).unwrap();
         assert!(more);
         assert_eq!(chunk.indirect_count(), 64);
-        drop(src);
-        crate::trace_cache::override_policy(None);
     }
 
     #[test]

@@ -35,10 +35,12 @@
 //! cache directory is unusable the caller falls back to direct
 //! generation.
 //!
-//! The cache engages for suites of [`MIN_CACHE_EVENTS`] events or more —
-//! below that, generation is cheaper than the I/O bookkeeping, and the
-//! repo's many tiny test suites must not write cache files into working
-//! directories.
+//! Every segment function takes the corpus root as an argument, and a
+//! [`Suite`](crate::Suite) carries its own. [`default_corpus`] engages
+//! `$IBP_RESULTS/.cache/traces` for traces of [`MIN_CACHE_EVENTS`] events
+//! or more — below that, generation is cheaper than the I/O bookkeeping,
+//! and the repo's many tiny test suites must not write cache files into
+//! working directories. Tests pass a scratch root instead.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -54,46 +56,15 @@ use ibp_workload::Benchmark;
 /// directories are deleted on first use.
 const TRACE_SCHEMA_VERSION: u32 = 1;
 
-/// Smallest per-benchmark event count the cache engages for by default.
-/// [`override_policy`] bypasses the threshold in both directions.
+/// Smallest per-benchmark event count the default corpus engages for.
 pub const MIN_CACHE_EVENTS: u64 = 50_000;
 
-fn policy_override() -> &'static Mutex<Option<bool>> {
-    static OVERRIDE: Mutex<Option<bool>> = Mutex::new(None);
-    &OVERRIDE
-}
-
-fn root_override() -> &'static Mutex<Option<PathBuf>> {
-    static ROOT: Mutex<Option<PathBuf>> = Mutex::new(None);
-    &ROOT
-}
-
-/// In-process override of the cache policy: `Some(true)` forces the
-/// cache on regardless of the [`MIN_CACHE_EVENTS`] threshold,
-/// `Some(false)` forces it off, `None` restores the threshold.
-/// Process-global — equivalence tests use it to pin the policy per pass.
-pub fn override_policy(policy: Option<bool>) {
-    *policy_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = policy;
-}
-
-/// In-process override of the cache root directory (normally
-/// `$IBP_RESULTS/.cache/traces`). Tests point this at scratch space so
-/// cache traffic never lands in a working tree.
-pub fn override_root(root: Option<PathBuf>) {
-    *root_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = root;
-}
-
-/// Whether the cache would engage for an `events`-long trace.
+/// The corpus root an `events`-long trace uses by default:
+/// `$IBP_RESULTS/.cache/traces` at [`MIN_CACHE_EVENTS`] events or more,
+/// `None` (generate directly) below that.
 #[must_use]
-pub fn engaged(events: u64) -> bool {
-    policy_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .unwrap_or(events >= MIN_CACHE_EVENTS)
+pub fn default_corpus(events: u64) -> Option<PathBuf> {
+    (events >= MIN_CACHE_EVENTS).then(|| obs::knobs().results.join(".cache").join("traces"))
 }
 
 struct Counters {
@@ -163,17 +134,6 @@ pub fn stats() -> TraceCacheStats {
         bytes_read: c.bytes_read.get(),
         bytes_written: c.bytes_written.get(),
     }
-}
-
-fn traces_root() -> PathBuf {
-    if let Some(root) = root_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-    {
-        return root;
-    }
-    obs::results_dir().join(".cache").join("traces")
 }
 
 fn version_dir(root: &Path) -> PathBuf {
@@ -368,17 +328,23 @@ fn open_segment(path: &Path) -> Result<BinarySource<fs::File>, String> {
     Ok(source)
 }
 
-/// A fresh replay cursor over the cached segment for
-/// `(benchmark, events)` — an independent [`ibp_trace::EventSource`], event- and
-/// counter-identical to a generator pass. `None` when the cache is
-/// disabled, not engaged at this event count, or unusable; callers fall
-/// back to direct generation.
+/// A fresh replay cursor over the default corpus's segment for
+/// `(benchmark, events)` ([`default_corpus`]). `None` when the default
+/// corpus does not engage at this event count or is unusable; callers
+/// fall back to direct generation.
 #[must_use]
 pub fn source_for(benchmark: Benchmark, events: u64) -> Option<BinarySource<fs::File>> {
-    if !engaged(events) {
-        return None;
-    }
-    let path = ensure_segment_at(&traces_root(), benchmark, events)?;
+    source_at(&default_corpus(events)?, benchmark, events)
+}
+
+/// A fresh replay cursor over the segment for `(benchmark, events)` in
+/// the corpus at `root`, generating the segment on a miss — an
+/// independent [`ibp_trace::EventSource`], event- and counter-identical
+/// to a generator pass. `None` when the corpus is unusable; callers fall
+/// back to direct generation.
+#[must_use]
+pub fn source_at(root: &Path, benchmark: Benchmark, events: u64) -> Option<BinarySource<fs::File>> {
+    let path = ensure_segment_at(root, benchmark, events)?;
     match open_segment(&path) {
         Ok(source) => Some(source),
         Err(e) => {
@@ -389,10 +355,11 @@ pub fn source_for(benchmark: Benchmark, events: u64) -> Option<BinarySource<fs::
 }
 
 /// The materialised trace for `(benchmark, events)`, decoded from the
-/// cached segment. Same `None` semantics as [`source_for`].
+/// segment in the corpus at `root`. Same `None` semantics as
+/// [`source_at`].
 #[must_use]
-pub fn trace_for(benchmark: Benchmark, events: u64) -> Option<Trace> {
-    let mut source = source_for(benchmark, events)?;
+pub fn trace_at(root: &Path, benchmark: Benchmark, events: u64) -> Option<Trace> {
+    let mut source = source_at(root, benchmark, events)?;
     match collect_source(&mut source) {
         Ok(trace) => Some(trace),
         Err(e) => {
@@ -400,18 +367,6 @@ pub fn trace_for(benchmark: Benchmark, events: u64) -> Option<Trace> {
             None
         }
     }
-}
-
-/// Deletes the entire trace cache directory (and this process's
-/// verified-segment memory). Harness binaries use it to force a cold
-/// first pass.
-pub fn purge() {
-    let root = traces_root();
-    let _ = fs::remove_dir_all(&root);
-    verified()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
 }
 
 /// Forgets every segment this process has verified (or written), forcing
@@ -439,15 +394,6 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// Forgets per-process verification state for `path`, simulating a
-    /// fresh process that must re-verify the file on disk.
-    fn forget(path: &Path) {
-        verified()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(path);
     }
 
     const EVENTS: u64 = 2_000;
@@ -487,7 +433,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).expect("garble");
-        forget(&path);
+        forget_verified();
 
         let before = stats();
         let regenerated = ensure_segment_at(&root, Benchmark::Gcc, EVENTS).expect("segment");
@@ -506,7 +452,7 @@ mod tests {
         let path = ensure_segment_at(&root, Benchmark::Perl, EVENTS).expect("segment");
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-        forget(&path);
+        forget_verified();
 
         let before = stats();
         ensure_segment_at(&root, Benchmark::Perl, EVENTS).expect("segment");
@@ -551,11 +497,11 @@ mod tests {
         let _guard = crate::test_guard();
         let root = scratch_root("read-fault");
         let path = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
-        forget(&path);
-        crate::faults::override_spec(Some("trace_cache.read@1")).unwrap();
+        forget_verified();
+        let armed = crate::faults::arm("trace_cache.read@1").unwrap();
         let before = stats();
         let again = ensure_segment_at(&root, Benchmark::Ixx, EVENTS).expect("segment");
-        crate::faults::override_spec(None).unwrap();
+        drop(armed);
         assert_eq!(again, path);
         assert_eq!(stats().since(before).misses, 1, "read fault -> evict + regenerate");
         verify_file(&path).expect("regenerated segment verifies");
@@ -566,12 +512,12 @@ mod tests {
     fn injected_write_fault_cleans_up_and_falls_back() {
         let _guard = crate::test_guard();
         let root = scratch_root("write-fault");
-        crate::faults::override_spec(Some("trace_cache.write@1")).unwrap();
+        let armed = crate::faults::arm("trace_cache.write@1").unwrap();
         assert!(
             ensure_segment_at(&root, Benchmark::Ixx, EVENTS).is_none(),
             "write fault -> caller falls back to direct generation"
         );
-        crate::faults::override_spec(None).unwrap();
+        drop(armed);
         if let Ok(entries) = fs::read_dir(version_dir(&root)) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
@@ -589,9 +535,9 @@ mod tests {
     fn injected_rename_fault_cleans_up_and_falls_back() {
         let _guard = crate::test_guard();
         let root = scratch_root("rename-fault");
-        crate::faults::override_spec(Some("trace_cache.rename@1")).unwrap();
+        let armed = crate::faults::arm("trace_cache.rename@1").unwrap();
         assert!(ensure_segment_at(&root, Benchmark::Ixx, EVENTS).is_none());
-        crate::faults::override_spec(None).unwrap();
+        drop(armed);
         if let Ok(entries) = fs::read_dir(version_dir(&root)) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
@@ -606,14 +552,10 @@ mod tests {
     }
 
     #[test]
-    fn engagement_honours_threshold_and_override() {
-        let _guard = crate::test_guard();
-        // No override: tiny suites stay out of the cache.
-        assert!(!engaged(MIN_CACHE_EVENTS - 1));
-        override_policy(Some(true));
-        assert!(engaged(1));
-        override_policy(Some(false));
-        assert!(!engaged(u64::MAX));
-        override_policy(None);
+    fn default_corpus_engages_at_the_threshold() {
+        // Tiny suites stay out of the cache.
+        assert_eq!(default_corpus(MIN_CACHE_EVENTS - 1), None);
+        let root = default_corpus(MIN_CACHE_EVENTS).expect("engaged at the threshold");
+        assert!(root.ends_with(".cache/traces"), "{}", root.display());
     }
 }

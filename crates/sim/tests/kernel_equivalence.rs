@@ -9,11 +9,11 @@
 //! probe tests pin payload equality under `IBP_PROBE=deep` and scored
 //! stats under all three probe levels.
 //!
-//! The journal sink and the probe override are process-global, and
+//! The journal sink (which carries the probe level) is process-global, and
 //! `probes_under` captures every probe record emitted while it runs, so
 //! every test in this file holds one serial lock.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use ibp_core::ext::CascadePredictor;
 use ibp_core::{
@@ -21,7 +21,7 @@ use ibp_core::{
 };
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
-use ibp_sim::probe::{self, ProbePolicy};
+use ibp_sim::probe::ProbePolicy;
 use ibp_sim::{simulate_kernel, simulate_source, RunStats};
 use ibp_workload::Benchmark;
 
@@ -118,35 +118,11 @@ fn dyn_fallback_arm_matches_legacy_fold() {
     }
 }
 
-#[derive(Clone, Default)]
-struct Capture(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for Capture {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("capture").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Runs `body` under a captured journal and forced probe policy, returning
-/// the probe records it emitted.
+/// Runs `body` under a journal captured at probe level `policy`,
+/// returning the probe records it emitted.
 fn probes_under(policy: ProbePolicy, body: impl FnOnce()) -> Vec<Record> {
-    let cap = Capture::default();
-    journal::install_writer(Box::new(cap.clone()));
-    probe::override_policy(Some(policy));
-    body();
-    probe::override_policy(None);
-    journal::uninstall();
-    let bytes = cap.0.lock().expect("capture").clone();
-    String::from_utf8(bytes)
-        .expect("utf8 journal")
-        .lines()
-        .map(|l| Record::parse(l).expect("parseable record"))
-        .filter(|r| r.kind == Kind::Probe)
-        .collect()
+    let (_, records) = journal::capture(policy, body);
+    records.into_iter().filter(|r| r.kind == Kind::Probe).collect()
 }
 
 /// The comparable payload of a probe record.

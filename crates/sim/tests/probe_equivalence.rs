@@ -3,15 +3,15 @@
 //! side state the prediction path never reads — and deep probing
 //! attributes every scored event.
 //!
-//! The journal sink and the probe policy override are process-global, so
+//! The journal sink, which carries the probe level, is process-global, so
 //! every test here holds one serial lock.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use ibp_core::PredictorConfig;
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
-use ibp_sim::probe::{self, ProbePolicy};
+use ibp_sim::probe::ProbePolicy;
 use ibp_sim::{simulate_warm, RunStats};
 use ibp_workload::Benchmark;
 
@@ -20,36 +20,11 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-#[derive(Clone, Default)]
-struct Capture(Arc<Mutex<Vec<u8>>>);
-
-impl std::io::Write for Capture {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("capture").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Runs `body` with the journal captured and the probe policy forced to
-/// `policy`, returning the emitted probe records (kind, name, payload
-/// fields) in emission order.
+/// Runs `body` with the journal captured at probe level `policy`,
+/// returning the emitted probe records in emission order.
 fn probes_under(policy: ProbePolicy, body: impl FnOnce()) -> Vec<Record> {
-    let cap = Capture::default();
-    journal::install_writer(Box::new(cap.clone()));
-    probe::override_policy(Some(policy));
-    body();
-    probe::override_policy(None);
-    journal::uninstall();
-    let bytes = cap.0.lock().expect("capture").clone();
-    String::from_utf8(bytes)
-        .expect("utf8 journal")
-        .lines()
-        .map(|l| Record::parse(l).expect("parseable record"))
-        .filter(|r| r.kind == Kind::Probe)
-        .collect()
+    let (_, records) = journal::capture(policy, body);
+    records.into_iter().filter(|r| r.kind == Kind::Probe).collect()
 }
 
 #[test]
@@ -62,16 +37,11 @@ fn results_byte_identical_probes_off_on_deep() {
         PredictorConfig::practical(3, 1024, 4),
         PredictorConfig::bpst(3, 0, 128, 2),
     ] {
-        let mut per_policy: Vec<RunStats> = Vec::new();
-        for policy in [ProbePolicy::Off, ProbePolicy::On, ProbePolicy::Deep] {
-            let cap = Capture::default();
-            journal::install_writer(Box::new(cap.clone()));
-            probe::override_policy(Some(policy));
-            let mut p = cfg.build();
-            per_policy.push(simulate_warm(&trace, p.as_mut(), 500));
-            probe::override_policy(None);
-            journal::uninstall();
-        }
+        let run = || simulate_warm(&trace, cfg.build().as_mut(), 500);
+        let per_policy: Vec<RunStats> = [ProbePolicy::Off, ProbePolicy::On, ProbePolicy::Deep]
+            .into_iter()
+            .map(|policy| journal::capture(policy, run).0)
+            .collect();
         assert_eq!(per_policy[0], per_policy[1], "{}: on != off", cfg.cache_key());
         assert_eq!(per_policy[0], per_policy[2], "{}: deep != off", cfg.cache_key());
     }

@@ -2,7 +2,7 @@
 //! be observationally identical to generating traces directly — for every
 //! benchmark, every scheduling mode, cold and warm.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ibp_core::PredictorConfig;
 use ibp_sim::engine;
@@ -13,7 +13,7 @@ use ibp_workload::Benchmark;
 
 const EVENTS: u64 = 6_000;
 
-/// The overrides and counters touched here are process-wide; the tests in
+/// The trace-cache counters asserted here are process-wide; the tests in
 /// this binary must not interleave.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -41,11 +41,11 @@ fn sample_configs() -> Vec<PredictorConfig> {
 }
 
 /// Runs the config sample over the materialised `suite` and over a
-/// streamed suite of the same traces — the two scheduling modes every
-/// result must be identical across — with the memo cache cleared so every
-/// cell simulates live.
-fn run_all_modes(suite: &Suite) -> Vec<(&'static str, Vec<SuiteResult>)> {
-    let streamed = Suite::with_streaming(&Benchmark::ALL, EVENTS, true);
+/// streamed suite of the same traces from the same `corpus` — the two
+/// scheduling modes every result must be identical across — with the memo
+/// cache cleared so every cell simulates live.
+fn run_all_modes(suite: &Suite, corpus: Option<&Path>) -> Vec<(&'static str, Vec<SuiteResult>)> {
+    let streamed = Suite::with_streaming(&Benchmark::ALL, EVENTS, true, corpus);
     [("materialised", suite), ("streamed", &streamed)]
         .into_iter()
         .map(|(label, suite)| {
@@ -78,29 +78,27 @@ fn assert_identical(
 fn cached_replay_is_identical_across_all_benchmarks_and_modes() {
     let _guard = serial();
     let root = scratch_root("modes");
-    trace_cache::override_root(Some(root.clone()));
+    let corpus = Some(root.as_path());
 
-    // Baseline: trace cache pinned off, traces generated directly.
-    trace_cache::override_policy(Some(false));
-    let baseline_suite = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
-    let baseline = run_all_modes(&baseline_suite);
+    // Baseline: no corpus, traces generated directly.
+    let baseline_suite = Suite::with_streaming(&Benchmark::ALL, EVENTS, false, None);
+    let baseline = run_all_modes(&baseline_suite, None);
 
-    // Cold round: cache on, every segment generated and published.
-    trace_cache::override_policy(Some(true));
+    // Cold round: every segment generated and published.
     let before_cold = trace_cache::stats();
-    let cold_suite = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
+    let cold_suite = Suite::with_streaming(&Benchmark::ALL, EVENTS, false, corpus);
     let cold_delta = trace_cache::stats().since(before_cold);
     assert_eq!(
         cold_delta.misses,
         Benchmark::ALL.len() as u64,
         "cold build generates one segment per benchmark"
     );
-    let cold = run_all_modes(&cold_suite);
+    let cold = run_all_modes(&cold_suite, corpus);
     assert_identical(&baseline, &cold, "cold");
 
     // Warm round: a fresh suite replays every segment from disk.
     let before_warm = trace_cache::stats();
-    let warm_suite = Suite::with_benchmarks_and_len(&Benchmark::ALL, EVENTS);
+    let warm_suite = Suite::with_streaming(&Benchmark::ALL, EVENTS, false, corpus);
     let warm_delta = trace_cache::stats().since(before_warm);
     assert_eq!(warm_delta.misses, 0, "warm build regenerates nothing");
     assert_eq!(
@@ -108,11 +106,9 @@ fn cached_replay_is_identical_across_all_benchmarks_and_modes() {
         Benchmark::ALL.len() as u64,
         "warm build replays every benchmark"
     );
-    let warm = run_all_modes(&warm_suite);
+    let warm = run_all_modes(&warm_suite, corpus);
     assert_identical(&baseline, &warm, "warm");
 
-    trace_cache::override_policy(None);
-    trace_cache::override_root(None);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -120,12 +116,10 @@ fn cached_replay_is_identical_across_all_benchmarks_and_modes() {
 fn streamed_replay_matches_the_generator_event_for_event() {
     let _guard = serial();
     let root = scratch_root("streamed");
-    trace_cache::override_root(Some(root.clone()));
-    trace_cache::override_policy(Some(true));
 
     for benchmark in [Benchmark::Ixx, Benchmark::Gcc, Benchmark::Eqn] {
-        let mut replay = trace_cache::source_for(benchmark, EVENTS)
-            .expect("cache engaged and writable");
+        let mut replay =
+            trace_cache::source_at(&root, benchmark, EVENTS).expect("corpus writable");
         let replayed = collect_source(&mut replay).expect("replay");
         let direct = benchmark.trace_with_len(EVENTS);
         assert_eq!(replayed.events(), direct.events(), "{benchmark}");
@@ -134,7 +128,5 @@ fn streamed_replay_matches_the_generator_event_for_event() {
         assert_eq!(replayed.name(), direct.name(), "{benchmark}");
     }
 
-    trace_cache::override_policy(None);
-    trace_cache::override_root(None);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -4,8 +4,8 @@
 
 use ibp::core::PredictorConfig;
 use ibp::sim::{simulate, Suite};
-use ibp::trace::CoverageLevel;
-use ibp::workload::{Benchmark, BenchmarkGroup};
+use ibp::trace::{CoverageLevel, TraceEvent};
+use ibp::workload::{Benchmark, BenchmarkGroup, GENERATOR_VERSION};
 
 #[test]
 fn all_benchmarks_generate_with_configured_ratios() {
@@ -93,23 +93,83 @@ fn group_averages_are_means_of_members() {
     assert!((oo - expected).abs() < 1e-12);
 }
 
+/// The generator version [`PINNED_DIGESTS`] were recorded at.
+const PINNED_GENERATOR_VERSION: u32 = 1;
+
+/// Events per benchmark the digests cover.
+const PINNED_EVENTS: u64 = 2_000;
+
+/// FNV-1a digest of every event (indirect and conditional, in order) of
+/// each benchmark's `PINNED_EVENTS`-long trace, in `Benchmark::ALL` order.
+const PINNED_DIGESTS: [(&str, u64); 17] = [
+    ("idl", 0xf096709caffe4b27),
+    ("jhm", 0x339bab3ee20fd54a),
+    ("self", 0x8a08477322357526),
+    ("troff", 0x8eb0a5764f1c46d1),
+    ("lcom", 0xa029b328d8f6bccf),
+    ("porky", 0x8a757e55f90bf79c),
+    ("ixx", 0xbd90e1ffed17d3c9),
+    ("eqn", 0xaa7740b29ca67f38),
+    ("beta", 0xae2dd3b95bf85849),
+    ("xlisp", 0x74ffef1ab9c758e2),
+    ("perl", 0x22a625aeb20e940c),
+    ("edg", 0x46d720e71bf00a90),
+    ("gcc", 0x35b48308f3480fd7),
+    ("m88ksim", 0x454011e1275c1b21),
+    ("vortex", 0x28cb133917cccb63),
+    ("ijpeg", 0x7a16fce4edce9edb),
+    ("go", 0x3ad9b137df732d86),
+];
+
+/// FNV-1a over each event's kind, addresses and outcome.
+fn event_digest(events: &[TraceEvent]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for event in events {
+        let (tag, pc, target, detail) = match event {
+            TraceEvent::Indirect(b) => (0u8, b.pc, b.target, b.kind as u8),
+            TraceEvent::Cond(b) => (1u8, b.pc, b.target, u8::from(b.taken)),
+        };
+        eat(&[tag, detail]);
+        eat(&pc.raw().to_le_bytes());
+        eat(&target.raw().to_le_bytes());
+    }
+    hash
+}
+
+/// The trace corpus cache replays a segment as long as the benchmark's
+/// `fingerprint()` is unchanged, and the fingerprint covers the
+/// generator's parameters and `GENERATOR_VERSION`, not its code. This pin
+/// is what catches a generator code change that forgot the version bump:
+/// every event of every benchmark is digested and compared with the
+/// values recorded at `PINNED_GENERATOR_VERSION`.
 #[test]
-fn traces_are_reproducible_across_processes_shape() {
-    // The generator hashes only from the seed; a golden fingerprint guards
-    // against accidental changes to the structural hashing (which would
-    // silently re-randomise every calibrated benchmark).
-    let t = Benchmark::Ixx.trace_with_len(1_000);
-    let fingerprint: u64 = t.indirect().take(64).fold(0u64, |acc, b| {
-        acc.rotate_left(7) ^ u64::from(b.pc.raw()) ^ (u64::from(b.target.raw()) << 32)
-    });
-    let again: u64 = Benchmark::Ixx
-        .trace_with_len(1_000)
-        .indirect()
-        .take(64)
-        .fold(0u64, |acc, b| {
-            acc.rotate_left(7) ^ u64::from(b.pc.raw()) ^ (u64::from(b.target.raw()) << 32)
-        });
-    assert_eq!(fingerprint, again);
+fn generator_output_is_pinned_to_its_version() {
+    let got: Vec<(&str, u64)> = Benchmark::ALL
+        .iter()
+        .map(|b| (b.name(), event_digest(b.trace_with_len(PINNED_EVENTS).events())))
+        .collect();
+    let changed: Vec<&str> = got
+        .iter()
+        .zip(PINNED_DIGESTS)
+        .filter(|(g, p)| **g != *p)
+        .map(|(g, _)| g.0)
+        .collect();
+    let repin: String = got
+        .iter()
+        .map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),\n"))
+        .collect();
+    assert!(
+        changed.is_empty() && GENERATOR_VERSION == PINNED_GENERATOR_VERSION,
+        "generator output changed for {changed:?} (GENERATOR_VERSION {GENERATOR_VERSION}, \
+         pinned at {PINNED_GENERATOR_VERSION}): bump GENERATOR_VERSION and re-pin.\n\
+         Current digests:\n{repin}"
+    );
 }
 
 #[test]
