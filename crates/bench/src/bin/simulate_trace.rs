@@ -11,12 +11,14 @@
 //! simulate_trace trace.ibpt --sweep            # path-length sweep
 //! ```
 //!
-//! With `--classify`, mispredictions of two-level predictors are broken
-//! down into wrong-target / capacity / cold classes.
+//! With `--classify`, mispredictions are broken down into wrong-target /
+//! capacity / cold classes (hybrids, which have no single table key, into
+//! wrong-target / no-entry). One attributed pass of the configured
+//! predictor feeds the misprediction line, `--classify` and `--per-site`.
 //!
 //! The trace file is never materialised: every pass streams it through a
-//! chunked [`ibp_trace::TextSource`], so arbitrarily long traces simulate
-//! in constant memory (multi-pass modes like `--sweep` re-read the file).
+//! chunked [`TextSource`], so arbitrarily long traces simulate in constant
+//! memory (multi-pass modes like `--sweep` re-read the file).
 //!
 //! Both trace formats are accepted and auto-detected by magic bytes: the
 //! IBPT text format and the IBPB binary segment format that
@@ -26,11 +28,10 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::process::ExitCode;
 
-use ibp_core::{Associativity, PredictorConfig, TwoLevelPredictor};
-use ibp_sim::analysis::{simulate_classified_source, simulate_per_site};
-use ibp_sim::simulate_source;
+use ibp_core::{Associativity, PredictorConfig};
+use ibp_sim::{simulate_attributed, simulate_kernel};
 use ibp_trace::io::TextSource;
-use ibp_trace::{looks_binary, BinarySource, EventSource, TraceStats};
+use ibp_trace::{looks_binary, Addr, BinarySource, EventSource, TraceStats};
 
 struct Args {
     trace: String,
@@ -108,9 +109,9 @@ fn usage() {
            --path <N>         path length (default 3)\n\
            --path2 <N>        second path length for hybrids (default 1)\n\
            --entries <N|unbounded>  table entries (default 1024; hybrids: per component)\n\
-           --ways <N>         set associativity (default 4)\n\
+           --ways <N|full|tagless>  set associativity (default 4)\n\
            --per-site         print the ten worst-predicted sites\n\
-           --classify         break misses into wrong-target/capacity/cold\n\
+           --classify         break misses into wrong-target/capacity/cold (hybrids: no-entry)\n\
            --sweep            run a path-length sweep instead of one config"
     );
 }
@@ -210,11 +211,10 @@ fn main() -> ExitCode {
                 ways: args.ways.clone(),
                 ..args
             };
-            let cfg = build(&sweep_args).expect("sweep config");
-            let mut predictor = cfg.build();
+            let mut kernel = build(&sweep_args).expect("sweep config").build_kernel();
             let run = open(&args.trace)
                 .and_then(|mut src| {
-                    simulate_source(&mut *src, predictor.as_mut(), 0).map_err(|e| e.to_string())
+                    simulate_kernel(&mut *src, &mut kernel, 0).map_err(|e| e.to_string())
                 })
                 .expect("sweep pass");
             println!("{p:>3} {:>11.2}%", run.misprediction_rate() * 100.0);
@@ -222,18 +222,17 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let cfg = match build(&args) {
-        Ok(c) => c,
+    let mut kernel = match build(&args) {
+        Ok(c) => c.build_kernel(),
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let mut predictor = cfg.build();
-    println!("predictor: {}", predictor.name());
-    let run = match open(&args.trace)
-        .and_then(|mut src| simulate_source(&mut *src, predictor.as_mut(), 0).map_err(|e| e.to_string()))
-    {
+    println!("predictor: {}", kernel.as_predictor().name());
+    let (run, attribution) = match open(&args.trace).and_then(|mut src| {
+        simulate_attributed(&mut *src, &mut kernel, 0).map_err(|e| e.to_string())
+    }) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -248,57 +247,43 @@ fn main() -> ExitCode {
     );
 
     if args.classify {
-        match try_two_level(&args) {
-            Some(mut tl) => {
-                let b = open(&args.trace)
-                    .and_then(|mut src| {
-                        simulate_classified_source(&mut *src, &mut tl).map_err(|e| e.to_string())
-                    })
-                    .expect("classify pass");
-                println!(
-                    "breakdown: wrong-target {:.2}%, capacity {:.2}%, cold {:.2}%",
-                    (b.misprediction_rate() - b.capacity_rate() - b.cold_rate()) * 100.0,
-                    b.capacity_rate() * 100.0,
-                    b.cold_rate() * 100.0
-                );
-            }
-            None => eprintln!("note: --classify applies to two-level predictors only"),
+        let a = &attribution;
+        let pct = |count: u64| a.share(count) * 100.0;
+        // The cold/capacity split covers every no-entry miss exactly when
+        // the predictor exposes a key fingerprint (hybrids do not).
+        if a.cold + a.capacity == a.no_entry {
+            println!(
+                "breakdown: wrong-target {:.2}%, capacity {:.2}%, cold {:.2}%",
+                pct(a.wrong_target),
+                pct(a.capacity),
+                pct(a.cold)
+            );
+        } else {
+            println!(
+                "breakdown: wrong-target {:.2}%, no-entry {:.2}%",
+                pct(a.wrong_target),
+                pct(a.no_entry)
+            );
         }
     }
 
     if args.per_site {
-        let mut fresh = cfg.build_kernel();
-        let sites = open(&args.trace)
-            .and_then(|mut src| {
-                simulate_per_site(&mut *src, &mut fresh).map_err(|e| e.to_string())
-            })
-            .expect("per-site pass");
         println!("\nworst-predicted sites:");
-        for s in sites.iter().take(10) {
+        for (pc, misses) in attribution.top_sites(10) {
+            let pc = Addr::new(pc);
+            let executions = stats
+                .sites
+                .iter()
+                .find(|s| s.pc == pc)
+                .map_or(0, |s| s.executions);
             println!(
                 "  {}  {:>8} execs  {:>8} misses  {:>6.2}%",
-                s.pc,
-                s.executions,
-                s.mispredicted,
-                s.rate() * 100.0
+                pc,
+                executions,
+                misses.total(),
+                misses.total() as f64 / executions.max(1) as f64 * 100.0
             );
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Rebuilds the configured predictor as a concrete `TwoLevelPredictor` for
-/// classification, when the CLI selection maps to one.
-fn try_two_level(args: &Args) -> Option<TwoLevelPredictor> {
-    let spec = ibp_core::CompressedKeySpec::practical(args.path);
-    match (args.predictor.as_str(), args.entries) {
-        ("practical", Some(n)) => {
-            let ways = args.ways.parse().unwrap_or(4);
-            Some(TwoLevelPredictor::set_assoc(spec, n, ways))
-        }
-        ("practical", None) => Some(TwoLevelPredictor::compressed_unbounded(spec)),
-        ("tagless", Some(n)) => Some(TwoLevelPredictor::tagless(spec, n)),
-        ("fullassoc", Some(n)) => Some(TwoLevelPredictor::full_assoc(spec, n)),
-        _ => None,
-    }
 }

@@ -83,14 +83,52 @@ fn simulate_runs_practical_predictor() {
     assert!(stdout.contains("misprediction:"), "{stdout}");
 }
 
+/// The percentages printed after `label` on the line that starts with it.
+fn percents(stdout: &str, label: &str) -> Vec<f64> {
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with(label))
+        .unwrap_or_else(|| panic!("no {label:?} line in {stdout}"));
+    line.split_whitespace()
+        .filter_map(|w| w.trim_end_matches(',').strip_suffix('%'))
+        .map(|p| p.parse().expect("percentage"))
+        .collect()
+}
+
 #[test]
 fn simulate_classify_and_per_site() {
-    let path = temp_trace("xlisp", "3000");
-    let (stdout, _, ok) = simulate(path.to_str().unwrap(), &["--classify", "--per-site"]);
+    // 256 entries are few enough for ixx that the table organisations
+    // mispredict differently.
+    let path = temp_trace("ixx", "5000");
+    for extra in [
+        &[][..],
+        &["--ways", "full"],
+        &["--ways", "tagless"],
+        &["--predictor", "btb2bc"],
+        &["--predictor", "hybrid"],
+    ] {
+        let mut args = vec!["--classify", "--per-site", "--entries", "256"];
+        args.extend_from_slice(extra);
+        let (stdout, _, ok) = simulate(path.to_str().unwrap(), &args);
+        assert!(ok, "{extra:?}: {stdout}");
+        assert!(
+            stdout.contains("worst-predicted sites"),
+            "{extra:?}: {stdout}"
+        );
+        // The classes partition the misses of the run the misprediction
+        // line reports: they must sum to it within print rounding (each
+        // figure is rounded to 0.01 %).
+        let total = percents(&stdout, "misprediction:")[0];
+        let classes = percents(&stdout, "breakdown:");
+        let expected = if extra.contains(&"hybrid") { 2 } else { 3 };
+        assert_eq!(classes.len(), expected, "{extra:?}: {stdout}");
+        let sum: f64 = classes.iter().sum();
+        assert!(
+            (sum - total).abs() <= 0.005 * (classes.len() + 1) as f64,
+            "{extra:?}: classes sum to {sum}% but the run mispredicts {total}%\n{stdout}"
+        );
+    }
     std::fs::remove_file(&path).ok();
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("breakdown:"), "{stdout}");
-    assert!(stdout.contains("worst-predicted sites"), "{stdout}");
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Regression anchor for the external-trace path: the checked-in sample
 //! IBPT trace under `results/ext/` must simulate to *exactly* these
-//! misprediction counts, through the same library path `simulate_trace`
-//! drives (`TextSource` streaming into `simulate_source`).
+//! misprediction counts, through the per-event reference fold
+//! (`TextSource` streaming into `simulate_source_multi`); `simulate_trace`
+//! folds the same source through the kernel of the same configuration,
+//! which must match it byte for byte.
 //!
 //! If this test moves, either the IBPT parser, the workload generator
 //! that produced the sample, or a predictor changed behaviour — all three
@@ -11,7 +13,7 @@ use std::fs::File;
 use std::path::PathBuf;
 
 use ibp_core::PredictorConfig;
-use ibp_sim::simulate_source;
+use ibp_sim::simulate_source_multi;
 use ibp_trace::io::TextSource;
 use ibp_trace::{EventSource, TraceStats};
 
@@ -47,7 +49,7 @@ fn sample_trace_misprediction_rates_are_pinned() {
     ];
     for (cfg, expected) in anchors {
         let mut p = cfg.build();
-        let run = simulate_source(&mut open(), p.as_mut(), 0).expect("streamable");
+        let run = simulate_source_multi(&mut open(), &mut [p.as_mut()], 0).expect("streamable")[0];
         assert_eq!(run.indirect, 2_000, "{}", cfg.cache_key());
         assert_eq!(
             run.mispredicted,

@@ -30,9 +30,9 @@ use crate::predictor::Predictor;
 use crate::two_level::TwoLevelPredictor;
 
 /// Where a fold reports per-event probe information. Implemented by
-/// `ibp-sim`'s probe layer and by its analysis folds (per-site scoring,
-/// miss classification); all methods are state-only — they never touch the
-/// predictor.
+/// `ibp-sim`'s probe layer, whose per-run state is the simulator's one miss
+/// taxonomy (per-site counts, cold/capacity split); all methods are
+/// state-only — they never touch the predictor.
 pub trait ProbeSink {
     /// Whether the fold should compute a table-key fingerprint per event
     /// (the deep-probe miss-attribution protocol). Queried once per fold.
@@ -236,20 +236,6 @@ pub fn fold_dyn_chunk(
         let predicted = if scored { p.predict(pc) } else { None };
         p.update(pc, actual);
         predicted
-    });
-}
-
-/// Folds a chunk through a borrowed [`TwoLevelPredictor`] on the
-/// monomorphized fused path — for analysis folds (miss classification,
-/// pattern censuses) that keep ownership of their predictor instead of
-/// wrapping it in a [`FoldKernel`].
-pub fn fold_two_level_chunk(
-    p: &mut TwoLevelPredictor,
-    events: &[TraceEvent],
-    scorer: &mut ChunkScorer<'_>,
-) {
-    fold_events(p, events, scorer, |p, pc, actual, scored| {
-        p.fused_step(pc, actual, scored).map(|h| h.target)
     });
 }
 

@@ -70,7 +70,7 @@ pub use counter::SaturatingCounter;
 pub use history::{Histories, HistoryElement, HistoryRegister, HistorySharing, MAX_PATH};
 pub use hybrid::HybridPredictor;
 pub use interleave::Interleaving;
-pub use kernel::{fold_dyn_chunk, fold_two_level_chunk, ChunkScorer, FoldKernel, ProbeSink};
+pub use kernel::{fold_dyn_chunk, ChunkScorer, FoldKernel, ProbeSink};
 pub use key::{CompressedKeySpec, FullKey, KeyScheme, TableSharing};
 pub use meta::BpstMetaPredictor;
 pub use pattern::PatternCompressor;

@@ -85,8 +85,7 @@ pub trait Predictor: Send {
     /// A stable fingerprint of the table key the branch at `pc` would use
     /// *right now* (history included), or `None` when the predictor has no
     /// single-key lookup (hybrids). The probe layer uses this to split
-    /// no-entry mispredictions into cold and capacity misses, mirroring
-    /// `sim::analysis`.
+    /// no-entry mispredictions into cold and capacity misses.
     fn probe_key_fingerprint(&self, pc: Addr) -> Option<u64> {
         let _ = pc;
         None

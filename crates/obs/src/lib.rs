@@ -3,11 +3,12 @@
 //!
 //! The design goal is *zero-dependency, near-zero-cost when off*:
 //!
-//! * [`span`] returns a guard that records start/stop timestamps, thread id,
-//!   nesting depth and `key=value` fields, and journals itself on drop.
-//!   When tracing is disabled the guard is inert (one atomic load, no
-//!   allocation).
-//! * [`event`] journals an instant (zero-duration) occurrence.
+//! * [`span()`] (or [`span!`]) returns a guard that records start/stop
+//!   timestamps, thread id, nesting depth and `key=value` fields, and
+//!   journals itself on drop. When tracing is disabled the guard is inert
+//!   (one atomic load, no allocation).
+//! * [`event()`] (or [`event!`]) journals an instant (zero-duration)
+//!   occurrence.
 //! * [`metrics`] holds named counters, gauges and fixed-bucket histograms;
 //!   they are always on (relaxed atomics) and snapshotted into the journal
 //!   by [`flush`].
@@ -109,7 +110,7 @@ thread_local! {
 }
 
 /// A span guard: measures from construction to drop and journals one
-/// `span` record with its fields. Obtain one from [`span`] or the
+/// `span` record with its fields. Obtain one from [`span()`] or the
 /// [`span!`] macro. Guards are `!Send` — a span belongs to the thread that
 /// opened it (that is what the nesting depth counts).
 #[derive(Debug)]

@@ -8,12 +8,12 @@
 //!
 //! * a [`Sweep`] flattens all its configurations against all suite
 //!   benchmarks into one work queue for
-//!   [`parallel_map`](crate::parallel_map), instead of barriering
+//!   [`parallel_map`], instead of barriering
 //!   per-configuration on 17 traces;
 //! * when the suite streams (traces beyond the length threshold, or a
 //!   suite built with [`Suite::with_streaming`]), the cells of one
 //!   benchmark share a single chunked generator pass
-//!   ([`simulate_source_multi`]) instead of each materialising or
+//!   ([`simulate_source_kernels`]) instead of each materialising or
 //!   regenerating the trace;
 //! * results are memoized in a process-wide cache keyed by
 //!   `(PredictorConfig::cache_key(), benchmark, events, warmup)` — traces
@@ -33,7 +33,7 @@
 //!   `parallel.retried_items` behind [`EngineStats::degraded_cells`]), so
 //!   a journal snapshot carries them too;
 //! * a worker panic inside a cell (see [`crate::faults`]) never loses the
-//!   cell: [`parallel_map`](crate::parallel_map) contains it, journals a
+//!   cell: [`parallel_map`] contains it, journals a
 //!   `degraded` event and retries the cell inline — the fold is a pure
 //!   function of its inputs, so the retry is byte-identical and a fault
 //!   costs wall time, never correctness;
@@ -93,7 +93,7 @@ pub struct EngineStats {
     /// included); cache hits contribute nothing.
     pub simulated_events: u64,
     /// Work items whose first fold panicked and that
-    /// [`parallel_map`](crate::parallel_map)'s inline retry recovered —
+    /// [`parallel_map`]'s inline retry recovered —
     /// results identical, wall time paid.
     pub degraded_cells: u64,
 }

@@ -1,13 +1,14 @@
 //! §5.1's analytical asides: capacity-miss attribution and the pattern
 //! census.
 
-use ibp_core::{CompressedKeySpec, TwoLevelPredictor};
+use ibp_core::{CompressedKeySpec, FoldKernel, TwoLevelPredictor};
 use ibp_workload::Benchmark;
 
-use crate::analysis::{pattern_census_source, simulate_classified_source, MissBreakdown};
-use crate::parallel_map;
+use crate::analysis::pattern_census_source;
+use crate::probe::Attribution;
 use crate::report::{Cell, Table};
 use crate::suite::Suite;
+use crate::{parallel_map, simulate_attributed};
 
 /// The `(size, path length)` points the paper attributes in §5.1:
 /// "p = 2 wins at table size 256 with a misprediction rate of 12.5 %,
@@ -33,21 +34,24 @@ pub fn miss_attribution(suite: &Suite) -> Table {
     );
     for (size, p) in ATTRIBUTION_POINTS {
         let benchmarks = suite.benchmarks();
-        let breakdowns: Vec<MissBreakdown> = parallel_map(&benchmarks, |&b| {
-            let mut predictor =
-                TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), size);
-            simulate_classified_source(&mut *suite.source(b), &mut predictor)
+        let breakdowns: Vec<Attribution> = parallel_map(&benchmarks, |&b| {
+            let mut kernel = FoldKernel::TwoLevel(TwoLevelPredictor::full_assoc(
+                CompressedKeySpec::practical(p),
+                size,
+            ));
+            simulate_attributed(&mut *suite.source(b), &mut kernel, 0)
                 .expect("suite sources cannot fail")
+                .1
         });
         // AVG semantics: arithmetic mean of per-benchmark rates over the
         // non-infrequent members.
-        let members: Vec<&MissBreakdown> = benchmarks
+        let members: Vec<&Attribution> = benchmarks
             .iter()
             .zip(&breakdowns)
             .filter(|(b, _)| !b.is_infrequent())
             .map(|(_, d)| d)
             .collect();
-        let mean = |f: &dyn Fn(&MissBreakdown) -> f64| -> f64 {
+        let mean = |f: &dyn Fn(&Attribution) -> f64| -> f64 {
             if members.is_empty() {
                 0.0
             } else {
@@ -57,10 +61,10 @@ pub fn miss_attribution(suite: &Suite) -> Table {
         t.push_row(vec![
             Cell::Count(size as u64),
             Cell::Count(p as u64),
-            Cell::Percent(mean(&MissBreakdown::misprediction_rate)),
-            Cell::Percent(mean(&MissBreakdown::capacity_rate)),
-            Cell::Percent(mean(&MissBreakdown::cold_rate)),
-            Cell::Percent(mean(&|d: &MissBreakdown| {
+            Cell::Percent(mean(&Attribution::misprediction_rate)),
+            Cell::Percent(mean(&Attribution::capacity_rate)),
+            Cell::Percent(mean(&Attribution::cold_rate)),
+            Cell::Percent(mean(&|d: &Attribution| {
                 d.misprediction_rate() - d.capacity_rate() - d.cold_rate()
             })),
         ]);

@@ -4,9 +4,11 @@
 //! and reproduces the paper's evaluation methodology:
 //!
 //! * [`simulate`] — score one predictor over one trace (predict → compare →
-//!   update per indirect branch, §2's protocol); [`simulate_source`] and
-//!   [`simulate_source_multi`] are the streaming forms, folding over a
-//!   chunked [`ibp_trace::EventSource`] in constant memory;
+//!   update per indirect branch, §2's protocol); [`simulate_source_multi`]
+//!   (the per-event reference fold), [`simulate_kernel`] and
+//!   [`simulate_source_kernels`] are the streaming forms, folding over a
+//!   chunked [`ibp_trace::EventSource`] in constant memory, and
+//!   [`simulate_attributed`] adds the miss taxonomy of [`probe`];
 //! * [`Suite`] — the 17-benchmark suite with per-benchmark rates and the
 //!   paper's group averages (`AVG`, `AVG-OO`, …, Table 3 semantics);
 //! * [`engine`] — the memoizing sweep engine: flattens (config ×
@@ -58,8 +60,8 @@ pub mod trace_cache;
 
 pub use parallel::parallel_map;
 pub use run::{
-    simulate, simulate_kernel, simulate_source, simulate_source_kernels, simulate_source_multi,
-    simulate_warm, RunStats,
+    simulate, simulate_attributed, simulate_kernel, simulate_source_kernels, simulate_source_multi,
+    RunStats,
 };
 pub use suite::{Suite, SuiteResult};
 

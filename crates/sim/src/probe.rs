@@ -17,8 +17,9 @@
 //! * scored events are attributed per site: correct, wrong-target
 //!   (pattern present, different target) or no-entry (table miss); deep
 //!   mode splits no-entry into cold vs. capacity with an ever-seen key
-//!   set over [`ibp_core::Predictor::probe_key_fingerprint`], the same
-//!   classification [`crate::analysis::simulate_classified`] performs;
+//!   set over [`ibp_core::Predictor::probe_key_fingerprint`] — the one
+//!   miss taxonomy, which [`crate::simulate_attributed`] also returns
+//!   directly for the §5.1 analysis and `simulate_trace --classify`;
 //! * everything lands in compact `probe` journal records
 //!   ([`ibp_obs::probe`]), rendered by `obs_report --internals`.
 //!
@@ -68,7 +69,9 @@ pub struct SiteAttribution {
 }
 
 impl SiteAttribution {
-    fn total(self) -> u64 {
+    /// The site's scored mispredictions.
+    #[must_use]
+    pub fn total(self) -> u64 {
         self.wrong_target + self.no_entry
     }
 }
@@ -122,6 +125,43 @@ impl Attribution {
                 self.sites.entry(pc.raw()).or_default().no_entry += 1;
             }
         }
+    }
+
+    /// Scored branches: every one is a hit, a wrong-target or a no-entry
+    /// miss.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.hits + self.wrong_target + self.no_entry
+    }
+
+    /// `count` as a share of the scored branches (0 for an empty run).
+    #[must_use]
+    pub fn share(&self, count: u64) -> f64 {
+        let total = self.total();
+        if total == 0 {
+            0.0
+        } else {
+            count as f64 / total as f64
+        }
+    }
+
+    /// Total misprediction rate.
+    #[must_use]
+    pub fn misprediction_rate(&self) -> f64 {
+        self.share(self.wrong_target + self.no_entry)
+    }
+
+    /// The capacity/conflict component of the misprediction rate — the
+    /// quantity the paper attributes in §5.1.
+    #[must_use]
+    pub fn capacity_rate(&self) -> f64 {
+        self.share(self.capacity)
+    }
+
+    /// The compulsory (cold) component of the misprediction rate.
+    #[must_use]
+    pub fn cold_rate(&self) -> f64 {
+        self.share(self.cold)
     }
 
     /// The aliasing-heaviest sites, by descending miss volume.
@@ -182,6 +222,12 @@ impl ProbeRun {
         if let Some(key) = fingerprint {
             self.seen_keys.insert(key);
         }
+    }
+
+    /// The run's miss attribution.
+    #[must_use]
+    pub fn into_attribution(self) -> Attribution {
+        self.attribution
     }
 
     /// Takes a structural snapshot labelled `point`, if the predictor

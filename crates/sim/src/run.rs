@@ -10,7 +10,7 @@ use ibp_core::{fold_dyn_chunk, ChunkScorer, FoldKernel, Predictor};
 use ibp_trace::io::TraceIoError;
 use ibp_trace::{chunk_events, EventSource, Trace, TraceChunk};
 
-use crate::probe::{self, ProbeRun};
+use crate::probe::{self, Attribution, ProbePolicy, ProbeRun};
 
 /// One simulation lane: either an owned kernel (monomorphized fold) or a
 /// borrowed predictor (legacy per-event dispatch through the same
@@ -81,52 +81,21 @@ impl RunStats {
 /// forwarded to [`Predictor::observe_cond`], which all §3.3-variation
 /// predictors use and everything else ignores.
 pub fn simulate(trace: &Trace, predictor: &mut (dyn Predictor + 'static)) -> RunStats {
-    simulate_warm(trace, predictor, 0)
-}
-
-/// Like [`simulate`], but the first `warmup` indirect branches train the
-/// predictor without being scored.
-///
-/// The paper skips initialisation phases for two benchmarks (jhm, self) at
-/// the *trace* level; this knob lets experiments separate cold-start misses
-/// from steady-state behaviour (used by the capacity-miss analysis of
-/// Figure 11).
-///
-/// With tracing on (`IBP_TRACE`), each run emits a `simulate` span carrying
-/// the warmup/scored split and the achieved events/sec.
-pub fn simulate_warm(
-    trace: &Trace,
-    predictor: &mut (dyn Predictor + 'static),
-    warmup: u64,
-) -> RunStats {
-    simulate_source(&mut trace.cursor(), predictor, warmup)
-        .expect("in-memory source cannot fail")
-}
-
-/// Folds a predictor over a streaming [`EventSource`]: identical scoring to
-/// [`simulate_warm`], but memory stays bounded by the chunk size.
-///
-/// # Errors
-///
-/// Propagates the source's I/O or parse failures (in-memory sources are
-/// infallible).
-pub fn simulate_source<S: EventSource + ?Sized>(
-    source: &mut S,
-    predictor: &mut (dyn Predictor + 'static),
-    warmup: u64,
-) -> Result<RunStats, TraceIoError> {
-    let mut stats = simulate_source_multi(source, &mut [predictor], warmup)?;
-    Ok(stats.pop().expect("one result per predictor"))
+    let mut stats = simulate_source_multi(&mut trace.cursor(), &mut [predictor], 0)
+        .expect("in-memory source cannot fail");
+    stats.pop().expect("one result per predictor")
 }
 
 /// Folds several independent predictors over **one** pass of an
 /// [`EventSource`], returning one [`RunStats`] per predictor (in input
-/// order).
+/// order). The first `warmup` indirect branches train every predictor
+/// without being scored.
 ///
-/// Each event is replayed into every predictor before the next event is
-/// read, so per-predictor results are exactly what a dedicated pass would
-/// produce — this is how sweep cells share a single generator pass instead
-/// of each regenerating (or materialising) the trace.
+/// This is the reference fold: every event goes through per-event
+/// `dyn Predictor` dispatch (predict when scored, then update), which the
+/// monomorphized kernels of [`simulate_kernel`] must match byte for byte.
+/// Predictors share no state, so per-predictor results are exactly what a
+/// dedicated pass would produce.
 ///
 /// With tracing on (`IBP_TRACE`), the run emits a `simulate` span carrying
 /// the warmup/scored split, chunk count and the achieved events/sec, plus
@@ -141,11 +110,11 @@ pub fn simulate_source_multi<S: EventSource + ?Sized>(
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
     let mut lanes: Vec<Lane<'_>> = predictors.iter_mut().map(|p| Lane::Dyn(&mut **p)).collect();
-    fold_source_lanes(source, &mut lanes, warmup)
+    fold_journaled(source, &mut lanes, warmup)
 }
 
 /// Folds one chunk-fold kernel over a streaming source — the fast,
-/// single-dispatch-per-chunk counterpart of [`simulate_source`].
+/// single-dispatch-per-chunk counterpart of [`simulate_source_multi`].
 ///
 /// # Errors
 ///
@@ -175,27 +144,73 @@ pub fn simulate_source_kernels<S: EventSource + ?Sized>(
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
     let mut lanes: Vec<Lane<'_>> = kernels.iter_mut().map(Lane::Kernel).collect();
-    fold_source_lanes(source, &mut lanes, warmup)
+    fold_journaled(source, &mut lanes, warmup)
 }
 
-/// The one fold driver behind every sequential simulation: reads chunks,
-/// folds each lane over the chunk (one dispatch per lane per chunk), and
-/// carries the journal span/chunk events and the probe layer's sampling
-/// protocol exactly as the per-event fold did.
-fn fold_source_lanes<S: EventSource + ?Sized>(
+/// Folds one kernel over a streaming source and attributes every scored
+/// miss: the [`Attribution`] splits the run's scored events into hits,
+/// wrong-target and no-entry misses, and no-entry misses into cold
+/// (pattern never trained) and capacity (trained, then evicted) when the
+/// predictor exposes a key fingerprint
+/// ([`Predictor::probe_key_fingerprint`]; hybrids do not). For unbounded
+/// tables the capacity class is structurally zero.
+///
+/// This is the deep probe protocol run for its counts alone: it writes no
+/// `probe` journal records, whatever `IBP_PROBE` says, and the scored
+/// [`RunStats`] equal [`simulate_kernel`]'s.
+///
+/// # Errors
+///
+/// Propagates the source's I/O or parse failures.
+pub fn simulate_attributed<S: EventSource + ?Sized>(
+    source: &mut S,
+    kernel: &mut FoldKernel,
+    warmup: u64,
+) -> Result<(RunStats, Attribution), TraceIoError> {
+    let mut lanes = [Lane::Kernel(kernel)];
+    // No interval snapshots: nothing would journal them.
+    let (mut stats, mut probes) =
+        fold_source_lanes(source, &mut lanes, warmup, ProbePolicy::Deep, None)?;
+    let attribution = probes.pop().expect("one probe per lane").into_attribution();
+    Ok((stats.pop().expect("one result per kernel"), attribution))
+}
+
+/// Folds the lanes under the journal's probe level and writes each lane's
+/// `probe` records, with an `end` snapshot, when that level is on.
+fn fold_journaled<S: EventSource + ?Sized>(
     source: &mut S,
     lanes: &mut [Lane<'_>],
     warmup: u64,
 ) -> Result<Vec<RunStats>, TraceIoError> {
+    let policy = probe::active_policy();
+    let interval = policy.deep().then_some(probe::DEEP_INTERVAL);
+    let (stats, mut probes) = fold_source_lanes(source, lanes, warmup, policy, interval)?;
+    for (lane, probe) in lanes.iter().zip(&mut probes) {
+        probe.sample("end", lane.predictor());
+        probe.emit(source.name(), &lane.predictor().name());
+    }
+    Ok(stats)
+}
+
+/// The one fold driver behind every sequential simulation: reads chunks,
+/// folds each lane over the chunk (one dispatch per lane per chunk), and
+/// carries the journal span/chunk events. Under an on `policy` each lane
+/// reports into its own [`ProbeRun`] (returned in lane order; none when
+/// off), snapshotting every `interval` scored events when given.
+fn fold_source_lanes<S: EventSource + ?Sized>(
+    source: &mut S,
+    lanes: &mut [Lane<'_>],
+    warmup: u64,
+    policy: ProbePolicy,
+    interval: Option<u64>,
+) -> Result<(Vec<RunStats>, Vec<ProbeRun>), TraceIoError> {
     let mut span = ibp_obs::span("simulate");
     let timer = span.armed().then(std::time::Instant::now);
-    let policy = probe::active_policy();
     let mut probes: Vec<ProbeRun> = if policy.on() {
         lanes.iter().map(|_| ProbeRun::new(policy)).collect()
     } else {
         Vec::new()
     };
-    let interval = policy.deep().then_some(probe::DEEP_INTERVAL);
     let mut scorers: Vec<ChunkScorer<'_>> = if probes.is_empty() {
         lanes.iter().map(|_| ChunkScorer::new(warmup)).collect()
     } else {
@@ -238,10 +253,6 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
         })
         .collect();
     drop(scorers);
-    for (lane, probe) in lanes.iter().zip(&mut probes) {
-        probe.sample("end", lane.predictor());
-        probe.emit(source.name(), &lane.predictor().name());
-    }
     if let Some(t0) = timer {
         span.note("trace", source.name());
         span.note("events", seen);
@@ -254,7 +265,7 @@ fn fold_source_lanes<S: EventSource + ?Sized>(
             span.note("events_per_sec", (seen as f64 / secs).round());
         }
     }
-    Ok(stats)
+    Ok((stats, probes))
 }
 
 #[cfg(test)]
@@ -270,6 +281,10 @@ mod tests {
             t.push_indirect(Addr::new(0x100), Addr::new(target), BranchKind::Switch);
         }
         t
+    }
+
+    fn warm(trace: &Trace, predictor: &mut (dyn Predictor + 'static), warmup: u64) -> RunStats {
+        simulate_source_multi(&mut trace.cursor(), &mut [predictor], warmup).unwrap()[0]
     }
 
     #[test]
@@ -297,7 +312,7 @@ mod tests {
     fn warmup_excludes_cold_misses() {
         let t = alternating_trace(100);
         let mut p = PredictorConfig::unconstrained(1).build();
-        let r = simulate_warm(&t, p.as_mut(), 10);
+        let r = warm(&t, p.as_mut(), 10);
         assert_eq!(r.indirect, 90);
         assert_eq!(r.mispredicted, 0);
     }
@@ -324,11 +339,17 @@ mod tests {
     fn source_fold_matches_whole_trace_fold() {
         let t = alternating_trace(500);
         for warmup in [0, 10] {
+            // The whole trace as one chunk through the reference fold...
             let mut p1 = PredictorConfig::unconstrained(2).build();
-            let whole = simulate_warm(&t, p1.as_mut(), warmup);
+            let mut scorer = ChunkScorer::new(warmup);
+            fold_dyn_chunk(p1.as_mut(), t.events(), &mut scorer);
+            let whole = RunStats {
+                indirect: scorer.indirect(),
+                mispredicted: scorer.mispredicted(),
+            };
+            // ...and chunked off a cursor.
             let mut p2 = PredictorConfig::unconstrained(2).build();
-            let streamed = simulate_source(&mut t.cursor(), p2.as_mut(), warmup).unwrap();
-            assert_eq!(whole, streamed, "warmup = {warmup}");
+            assert_eq!(whole, warm(&t, p2.as_mut(), warmup), "warmup = {warmup}");
         }
     }
 
@@ -350,10 +371,7 @@ mod tests {
             PredictorConfig::unconstrained(3),
         ]
         .into_iter()
-        .map(|cfg| {
-            let mut p = cfg.build();
-            simulate_warm(&t, p.as_mut(), 5)
-        })
+        .map(|cfg| warm(&t, cfg.build().as_mut(), 5))
         .collect();
         assert_eq!(shared, dedicated);
     }

@@ -2,12 +2,12 @@
 
 use std::path::{Path, PathBuf};
 
-use ibp_core::Predictor;
+use ibp_core::{FoldKernel, Predictor};
 use ibp_trace::{EventSource, Trace, TraceStats};
 use ibp_workload::{Benchmark, BenchmarkGroup};
 
 use crate::parallel::parallel_map;
-use crate::run::{simulate_source, RunStats};
+use crate::run::{simulate_kernel, RunStats};
 
 /// Above this trace length, suites stream instead of materialising (a
 /// materialised 17-benchmark suite at 250k events is already several
@@ -27,7 +27,7 @@ enum TraceHandle {
 
 /// A set of benchmark traces reused across predictor configurations.
 ///
-/// At moderate lengths (up to [`STREAM_THRESHOLD`]) traces are generated
+/// At moderate lengths (up to 250,000 events) traces are generated
 /// once and materialised. Beyond that the suite holds no events at all:
 /// consumers pull chunked, resumable generator passes through
 /// [`source`](Suite::source), which makes million-event suites run in
@@ -55,7 +55,7 @@ impl Suite {
     }
 
     /// Builds the given benchmarks with `events` indirect branches each:
-    /// streamed beyond [`STREAM_THRESHOLD`] events, materialised up to it,
+    /// streamed beyond 250,000 events, materialised up to that,
     /// and replayed from the default trace corpus when it engages
     /// ([`trace_cache::default_corpus`](crate::trace_cache::default_corpus)).
     #[must_use]
@@ -194,8 +194,8 @@ impl Suite {
     {
         let benchmarks = self.benchmarks();
         let rates = parallel_map(&benchmarks, |&b| {
-            let mut p = make();
-            let stats = simulate_source(&mut *self.source(b), p.as_mut(), 0)
+            let mut kernel = FoldKernel::from_boxed(make());
+            let stats = simulate_kernel(&mut *self.source(b), &mut kernel, 0)
                 .expect("suite sources cannot fail");
             (b, stats)
         });

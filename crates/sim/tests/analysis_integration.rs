@@ -1,26 +1,41 @@
-//! Integration tests of the analysis layer over real synthetic benchmarks.
+//! Integration tests of the analysis layer over real synthetic benchmarks:
+//! the miss taxonomy that `simulate_attributed` returns, and the pattern
+//! census.
 
-use ibp_core::{CompressedKeySpec, PredictorConfig, TwoLevelPredictor};
-use ibp_sim::analysis::{pattern_census, simulate_classified, simulate_per_site};
-use ibp_sim::simulate;
+use ibp_core::{CompressedKeySpec, FoldKernel, PredictorConfig, TwoLevelPredictor};
+use ibp_sim::analysis::pattern_census;
+use ibp_sim::probe::Attribution;
+use ibp_sim::{simulate, simulate_attributed, RunStats};
+use ibp_trace::Trace;
 use ibp_workload::Benchmark;
+
+fn attribute(trace: &Trace, mut kernel: FoldKernel) -> (RunStats, Attribution) {
+    simulate_attributed(&mut trace.cursor(), &mut kernel, 0).expect("in-memory source")
+}
+
+fn full_assoc(path: usize, entries: usize) -> TwoLevelPredictor {
+    TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(path), entries)
+}
 
 #[test]
 fn classification_is_exhaustive_and_consistent() {
     let trace = Benchmark::Porky.trace_with_len(15_000);
     for (entries, p) in [(256usize, 2usize), (4096, 3)] {
-        let mut classified =
-            TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), entries);
-        let breakdown = simulate_classified(&trace, &mut classified);
+        let (attributed, breakdown) =
+            attribute(&trace, FoldKernel::TwoLevel(full_assoc(p, entries)));
         assert_eq!(breakdown.total(), 15_000);
-
-        let mut plain = TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(p), entries);
-        let stats = simulate(&trace, &mut plain);
         assert_eq!(
-            breakdown.total() - breakdown.hits,
-            stats.mispredicted,
+            breakdown.cold + breakdown.capacity,
+            breakdown.no_entry,
+            "every no-entry miss is cold or capacity"
+        );
+
+        let stats = simulate(&trace, &mut full_assoc(p, entries));
+        assert_eq!(
+            attributed, stats,
             "classification must not change behaviour"
         );
+        assert_eq!(breakdown.total() - breakdown.hits, stats.mispredicted);
     }
 }
 
@@ -30,8 +45,9 @@ fn capacity_misses_vanish_with_table_size() {
     // hits, leaving wrong-target and cold misses.
     let trace = Benchmark::Ixx.trace_with_len(20_000);
     let capacity_at = |entries: usize| {
-        let mut p = TwoLevelPredictor::full_assoc(CompressedKeySpec::practical(3), entries);
-        simulate_classified(&trace, &mut p).capacity_rate()
+        attribute(&trace, FoldKernel::TwoLevel(full_assoc(3, entries)))
+            .1
+            .capacity_rate()
     };
     let small = capacity_at(64);
     let large = capacity_at(16_384);
@@ -42,8 +58,8 @@ fn capacity_misses_vanish_with_table_size() {
 #[test]
 fn unbounded_has_zero_capacity_class() {
     let trace = Benchmark::Eqn.trace_with_len(10_000);
-    let mut p = TwoLevelPredictor::compressed_unbounded(CompressedKeySpec::practical(4));
-    let b = simulate_classified(&trace, &mut p);
+    let p = TwoLevelPredictor::compressed_unbounded(CompressedKeySpec::practical(4));
+    let (_, b) = attribute(&trace, FoldKernel::TwoLevel(p));
     assert_eq!(b.capacity, 0);
     assert!(b.cold > 0);
 }
@@ -51,18 +67,32 @@ fn unbounded_has_zero_capacity_class() {
 #[test]
 fn per_site_misses_sum_to_total() {
     let trace = Benchmark::Gcc.trace_with_len(10_000);
-    let mut k = PredictorConfig::practical(3, 1024, 4).build_kernel();
-    let sites = simulate_per_site(&mut trace.cursor(), &mut k).expect("in-memory source");
-    let total_exec: u64 = sites.iter().map(|s| s.executions).sum();
-    let total_miss: u64 = sites.iter().map(|s| s.mispredicted).sum();
-    assert_eq!(total_exec, 10_000);
+    let cfg = PredictorConfig::practical(3, 1024, 4);
+    let (attributed, b) = attribute(&trace, cfg.build_kernel());
+    let sites = b.top_sites(usize::MAX);
+    assert_eq!(
+        sites.len(),
+        b.sites.len(),
+        "every site with a miss is listed"
+    );
+    let total_miss: u64 = sites.iter().map(|(_, s)| s.total()).sum();
 
-    let mut fresh = PredictorConfig::practical(3, 1024, 4).build();
-    let stats = simulate(&trace, fresh.as_mut());
+    let stats = simulate(&trace, cfg.build().as_mut());
+    assert_eq!(attributed, stats);
     assert_eq!(total_miss, stats.mispredicted);
+    // No site misses more often than it executes.
+    let trace_stats = trace.stats();
+    for (pc, s) in &sites {
+        let executions = trace_stats
+            .sites
+            .iter()
+            .find(|site| site.pc.raw() == *pc)
+            .map_or(0, |site| site.executions);
+        assert!(s.total() <= executions, "site {pc:#x}");
+    }
     // Sorted by miss volume.
     for w in sites.windows(2) {
-        assert!(w[0].mispredicted >= w[1].mispredicted);
+        assert!(w[0].1.total() >= w[1].1.total());
     }
 }
 
@@ -84,14 +114,13 @@ fn census_shape_matches_paper_claims() {
 fn misses_concentrate_on_polymorphic_sites() {
     let trace = Benchmark::Jhm.trace_with_len(15_000);
     let trace_stats = trace.stats();
-    let mut k = PredictorConfig::btb_2bc().build_kernel();
-    let sites = simulate_per_site(&mut trace.cursor(), &mut k).expect("in-memory source");
+    let (_, b) = attribute(&trace, PredictorConfig::btb_2bc().build_kernel());
     // The top miss site must be polymorphic in the trace.
-    let top = &sites[0];
+    let (top, _) = b.top_sites(1)[0];
     let site_info = trace_stats
         .sites
         .iter()
-        .find(|s| s.pc == top.pc)
+        .find(|s| s.pc.raw() == top)
         .expect("top site in stats");
     assert!(
         site_info.distinct_targets > 1,

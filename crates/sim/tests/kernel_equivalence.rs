@@ -22,7 +22,7 @@ use ibp_core::{
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
 use ibp_sim::probe::ProbePolicy;
-use ibp_sim::{simulate_kernel, simulate_source, RunStats};
+use ibp_sim::{simulate_kernel, simulate_source_multi, RunStats};
 use ibp_workload::Benchmark;
 
 /// The representative configuration set: one per table organisation the
@@ -65,7 +65,8 @@ fn legacy(
     predictor: &mut (dyn Predictor + 'static),
     warmup: u64,
 ) -> RunStats {
-    simulate_source(&mut trace.cursor(), predictor, warmup).expect("in-memory source")
+    simulate_source_multi(&mut trace.cursor(), &mut [predictor], warmup).expect("in-memory source")
+        [0]
 }
 
 /// Every benchmark × every kernel family × warmups 0 and 150: the

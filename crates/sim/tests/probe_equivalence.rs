@@ -8,12 +8,24 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ibp_core::PredictorConfig;
+use ibp_core::{Predictor, PredictorConfig};
 use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
 use ibp_sim::probe::ProbePolicy;
-use ibp_sim::{simulate_warm, RunStats};
+use ibp_sim::{simulate_source_multi, RunStats};
+use ibp_trace::Trace;
 use ibp_workload::Benchmark;
+
+/// The reference fold over a materialised trace, with `warmup` unscored
+/// indirect branches.
+fn reference_fold(
+    trace: &Trace,
+    predictor: &mut (dyn Predictor + 'static),
+    warmup: u64,
+) -> RunStats {
+    simulate_source_multi(&mut trace.cursor(), &mut [predictor], warmup).expect("in-memory source")
+        [0]
+}
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -37,7 +49,7 @@ fn results_byte_identical_probes_off_on_deep() {
         PredictorConfig::practical(3, 1024, 4),
         PredictorConfig::bpst(3, 0, 128, 2),
     ] {
-        let run = || simulate_warm(&trace, cfg.build().as_mut(), 500);
+        let run = || reference_fold(&trace, cfg.build().as_mut(), 500);
         let per_policy: Vec<RunStats> = [ProbePolicy::Off, ProbePolicy::On, ProbePolicy::Deep]
             .into_iter()
             .map(|policy| journal::capture(policy, run).0)
@@ -54,7 +66,7 @@ fn deep_probe_emits_attribution_split() {
     let cfg = PredictorConfig::practical(2, 256, 4);
     let records = probes_under(ProbePolicy::Deep, || {
         let mut p = cfg.build();
-        simulate_warm(&trace, p.as_mut(), 500);
+        reference_fold(&trace, p.as_mut(), 500);
     });
     let end = records
         .iter()
@@ -78,7 +90,7 @@ fn probe_free_run_emits_no_probe_records() {
     let trace = Benchmark::Ixx.trace_with_len(1_000);
     let records = probes_under(ProbePolicy::Off, || {
         let mut p = PredictorConfig::btb().build();
-        simulate_warm(&trace, p.as_mut(), 0);
+        reference_fold(&trace, p.as_mut(), 0);
     });
     assert!(records.is_empty());
 }

@@ -5,7 +5,7 @@
 //! lets `Suite` switch modes on trace length without changing any table.
 
 use ibp_core::PredictorConfig;
-use ibp_sim::{simulate_source, simulate_warm};
+use ibp_sim::simulate_source_multi;
 use ibp_trace::{collect_source, EventSource, TraceStats};
 use ibp_workload::Benchmark;
 
@@ -17,10 +17,12 @@ fn run_stats_match_streamed_for_every_benchmark() {
     for &b in Benchmark::ALL.iter() {
         let trace = b.trace_with_len(EVENTS);
         let mut materialized = PredictorConfig::unconstrained(6).build();
-        let expected = simulate_warm(&trace, materialized.as_mut(), WARMUP);
+        let expected =
+            simulate_source_multi(&mut trace.cursor(), &mut [materialized.as_mut()], WARMUP)
+                .expect("in-memory source");
 
         let mut streamed = PredictorConfig::unconstrained(6).build();
-        let got = simulate_source(&mut b.source(EVENTS), streamed.as_mut(), WARMUP)
+        let got = simulate_source_multi(&mut b.source(EVENTS), &mut [streamed.as_mut()], WARMUP)
             .expect("generator sources cannot fail");
         assert_eq!(got, expected, "{}: streamed RunStats diverge", b.name());
     }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: exactly what CI runs.
 #
-#   scripts/verify.sh          # build + tests + clippy
-#   scripts/verify.sh --fast   # skip the release build (debug tests + clippy)
+#   scripts/verify.sh          # build + tests + clippy + rustdoc
+#   scripts/verify.sh --fast   # skip the release build (debug tests, clippy, rustdoc)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,5 +24,8 @@ cargo test -q
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 echo "verify: OK"
