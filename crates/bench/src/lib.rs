@@ -1,5 +1,5 @@
-//! Shared plumbing for the experiment binaries (`src/bin/`) and Criterion
-//! benches (`benches/`).
+//! Shared plumbing for the experiment binaries (`src/bin/`). Simulator
+//! throughput is timed by the separate `perfbench` package, not here.
 //!
 //! Each binary regenerates one figure or table of the paper by calling the
 //! corresponding [`ibp_sim::experiments`] runner over the full benchmark
@@ -26,8 +26,8 @@
 //!   miss attribution per run, `deep` adds interval samples and the
 //!   cold/capacity split. Needs `IBP_TRACE`; result tables stay
 //!   byte-identical either way.
-//! * `IBP_FAULTS` — deterministic fault injection (`site@n;seed=s`
-//!   clauses, see `ibp_sim::faults`); unset means injection off.
+//! * `IBP_FAULTS` — deterministic fault injection (`site@n` clauses, see
+//!   `ibp_sim::faults`); unset means injection off.
 //!
 //! All six are resolved once per process into [`ibp_obs::Knobs`]
 //! ([`ibp_obs::knobs`]): unset or empty means the default, an invalid
@@ -41,7 +41,7 @@
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ibp_obs as obs;
@@ -59,10 +59,12 @@ pub fn full_suite() -> Suite {
 }
 
 /// Prints the tables and writes one CSV per table under
-/// `$IBP_RESULTS/<id>/`.
+/// `$IBP_RESULTS/<id>/`, removing any numbered CSV there that this call
+/// did not write.
 pub fn emit(id: &str, tables: &[Table]) {
     let dir = obs::knobs().results.join(id);
     let persisted = fs::create_dir_all(&dir).is_ok();
+    let mut written = Vec::with_capacity(tables.len());
     for (i, t) in tables.iter().enumerate() {
         println!("{}", t.to_text());
         if persisted {
@@ -81,10 +83,32 @@ pub fn emit(id: &str, tables: &[Table]) {
             if let Err(e) = fs::write(&path, t.to_csv()) {
                 obs::warn!("could not write {}: {e}", path.display());
             }
+            written.push(path);
         }
     }
     if persisted {
+        remove_stale_tables(&dir, &written);
         eprintln!("csv written to {}", dir.display());
+    }
+}
+
+/// Deletes every `NN_*.csv` in `dir` that is not in `written`: a table a
+/// previous run wrote under an old title or index would otherwise sit
+/// next to the fresh ones. Other files (sample `.ibpt` traces) stay.
+fn remove_stale_tables(dir: &Path, written: &[PathBuf]) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let numbered = name.len() > 3
+            && name.as_bytes()[..2].iter().all(u8::is_ascii_digit)
+            && name.as_bytes()[2] == b'_';
+        if numbered && name.ends_with(".csv") && !written.contains(&path) {
+            if let Err(e) = fs::remove_file(&path) {
+                obs::warn!("could not remove stale {}: {e}", path.display());
+            }
+        }
     }
 }
 

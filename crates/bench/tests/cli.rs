@@ -1,5 +1,5 @@
 //! End-to-end tests of the command-line tools: `export_trace` piped into
-//! `simulate_trace`.
+//! `simulate_trace`, and a figure binary's CSV output directory.
 
 use std::io::Write;
 use std::process::Command;
@@ -162,4 +162,38 @@ fn simulate_fails_cleanly_on_missing_file() {
     let (_, stderr, ok) = simulate("/nonexistent.ibpt", &[]);
     assert!(!ok);
     assert!(stderr.contains("cannot open"), "{stderr}");
+}
+
+/// A figure run replaces its own numbered tables: a `NN_*.csv` an older
+/// run left in the figure's directory is removed, anything else stays.
+#[test]
+fn figure_run_removes_stale_numbered_tables() {
+    let root = std::env::temp_dir().join(format!("ibp-cli-stale-{}", std::process::id()));
+    let dir = root.join("fig2");
+    std::fs::create_dir_all(&dir).expect("temp results dir");
+    for name in ["07_old_title.csv", "sample.ibpt", "notes.csv"] {
+        std::fs::write(dir.join(name), "x\n").expect("seed file");
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fig2_btb"))
+        .env("IBP_EVENTS", "2000")
+        .env("IBP_RESULTS", &root)
+        .output()
+        .expect("run fig2_btb");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read fig2 dir")
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    std::fs::remove_dir_all(&root).ok();
+    assert!(!names.contains(&"07_old_title.csv".to_owned()), "{names:?}");
+    assert!(names.contains(&"sample.ibpt".to_owned()), "{names:?}");
+    assert!(names.contains(&"notes.csv".to_owned()), "{names:?}");
+    assert!(names.iter().any(|n| n.starts_with("00_")), "{names:?}");
 }

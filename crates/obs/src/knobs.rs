@@ -126,7 +126,7 @@ impl Knobs {
                 _ => Err(String::new()),
             }
         });
-        let faults = knob!("IBP_FAULTS", "clauses like site@n;seed=s", None, |raw: &str| {
+        let faults = knob!("IBP_FAULTS", "clauses like site or site@n", None, |raw: &str| {
             Ok(Some(raw.to_string()))
         });
         let knobs = Knobs {

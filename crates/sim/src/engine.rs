@@ -12,8 +12,8 @@
 //!   per-configuration on 17 traces;
 //! * when the suite streams (traces beyond the length threshold, or a
 //!   suite built with [`Suite::with_streaming`]), the cells of one
-//!   benchmark share a single chunked generator pass
-//!   ([`simulate_source_kernels`]) instead of each materialising or
+//!   benchmark share a single chunked generator pass (the crate-private
+//!   `simulate_source_kernels`) instead of each materialising or
 //!   regenerating the trace;
 //! * results are memoized in a process-wide cache keyed by
 //!   `(PredictorConfig::cache_key(), benchmark, events, warmup)` — traces
@@ -24,7 +24,7 @@
 //!   sound there, whereas a result kept on disk would outlive a change to
 //!   the predictor or generator code it came from;
 //! * every cell folds on one path: [`simulate_kernel`] over the
-//!   materialised trace, or [`simulate_source_kernels`] for a streamed
+//!   materialised trace, or `simulate_source_kernels` for a streamed
 //!   benchmark group — the flat queue alone keeps every core busy;
 //! * global hit/miss/event counters ([`stats`]) let callers report cache
 //!   effectiveness and simulation throughput — they live in the

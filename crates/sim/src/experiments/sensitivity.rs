@@ -13,7 +13,7 @@ use ibp_workload::Benchmark;
 use crate::parallel_map;
 use crate::report::{Cell, Table};
 use crate::run::simulate_source_multi;
-use crate::suite::{Suite, STREAM_THRESHOLD};
+use crate::suite::Suite;
 
 /// Path lengths probed.
 pub const PATHS: [usize; 4] = [3, 6, 9, 12];
@@ -43,9 +43,9 @@ pub fn run_with_lengths(lengths: &[u64]) -> Vec<Table> {
         headers,
     );
     for &events in lengths {
-        // One generator pass per benchmark at this length, feeding all
-        // path-length predictors at once (results are identical to
-        // dedicated passes). Long lengths stream instead of materialising.
+        // One streamed generator pass per benchmark at this length, feeding
+        // all path-length predictors at once (results are identical to
+        // dedicated passes); no length is ever materialised.
         let rates: Vec<Vec<f64>> = parallel_map(&BENCHMARKS, |&b| {
             let mut predictors: Vec<Box<dyn Predictor>> = PATHS
                 .iter()
@@ -53,13 +53,8 @@ pub fn run_with_lengths(lengths: &[u64]) -> Vec<Table> {
                 .collect();
             let mut refs: Vec<&mut (dyn Predictor + 'static)> =
                 predictors.iter_mut().map(|p| &mut **p).collect();
-            let stats = if events > STREAM_THRESHOLD {
-                simulate_source_multi(&mut b.source(events), &mut refs, 0)
-            } else {
-                let trace = b.trace_with_len(events);
-                simulate_source_multi(&mut trace.cursor(), &mut refs, 0)
-            }
-            .expect("generator sources cannot fail");
+            let stats = simulate_source_multi(&mut b.source(events), &mut refs, 0)
+                .expect("generator sources cannot fail");
             stats.into_iter().map(|s| s.misprediction_rate()).collect()
         });
         let mean =

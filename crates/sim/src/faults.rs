@@ -16,10 +16,7 @@
 //! ```
 //!
 //! * `<site>` — arm `site` to fire at its first occurrence;
-//! * `<site>@<n>` — arm `site` to fire at its `n`-th occurrence (1-based);
-//! * `seed=<s>` — derive the occurrence for every armed site without an
-//!   explicit `@<n>` from `s` (a cheap deterministic mix of seed and site
-//!   name), so one integer explores many schedules reproducibly.
+//! * `<site>@<n>` — arm `site` to fire at its `n`-th occurrence (1-based).
 //!
 //! Unset or empty means injection is off (the only extra cost on hot
 //! paths is one relaxed atomic load). A malformed spec warns and leaves
@@ -140,7 +137,7 @@ fn plan_for(spec: Option<String>) -> (Plan, Option<String>) {
     ibp_obs::resolve_knob(
         "IBP_FAULTS",
         spec,
-        "clauses like site@n;seed=s",
+        "clauses like site or site@n",
         Plan::default(),
         parse_spec,
     )
@@ -162,37 +159,14 @@ fn apply(p: &Plan) {
     }
 }
 
-/// A cheap deterministic mix (splitmix64 over seed ⊕ site bytes) mapping
-/// a seed to a small 1-based occurrence, so `seed=<s>` explores early,
-/// mid and late firings without hand-written `@<n>` clauses.
-fn derive_occurrence(seed: u64, site: &str) -> u64 {
-    let mut x = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for &b in site.as_bytes() {
-        x = x.wrapping_add(u64::from(b)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-    }
-    (x % 8) + 1
-}
-
 fn parse_spec(raw: &str) -> Result<Plan, String> {
     let mut plan = Plan::default();
-    let mut seed: Option<u64> = None;
-    let mut unseeded: Vec<&'static str> = Vec::new();
     for clause in raw.split(';') {
         let clause = clause.trim();
         if clause.is_empty() {
             continue;
         }
-        if let Some(value) = clause.strip_prefix("seed=") {
-            seed = Some(
-                value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("seed wants an integer, got {value:?}"))?,
-            );
-            continue;
-        }
-        let (name, occurrence) = match clause.split_once('@') {
+        let (name, fire_at) = match clause.split_once('@') {
             Some((name, n)) => {
                 let n: u64 = n
                     .trim()
@@ -201,24 +175,15 @@ fn parse_spec(raw: &str) -> Result<Plan, String> {
                 if n == 0 {
                     return Err(format!("occurrence in {clause:?} is 1-based, got 0"));
                 }
-                (name.trim(), Some(n))
+                (name.trim(), n)
             }
-            None => (clause, None),
+            None => (clause, 1),
         };
         let Some(site) = SITES.iter().find(|s| s.name == name) else {
             let known: Vec<&str> = SITES.iter().map(|s| s.name).collect();
             return Err(format!("unknown site {name:?} (known: {})", known.join(", ")));
         };
-        match occurrence {
-            Some(n) => {
-                plan.arms.insert(site.name, Arm { fire_at: n, seen: 0, fired: 0 });
-            }
-            None => unseeded.push(site.name),
-        }
-    }
-    for name in unseeded {
-        let fire_at = seed.map_or(1, |s| derive_occurrence(s, name));
-        plan.arms.insert(name, Arm { fire_at, seen: 0, fired: 0 });
+        plan.arms.insert(site.name, Arm { fire_at, seen: 0, fired: 0 });
     }
     Ok(plan)
 }
@@ -380,26 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn seed_derives_occurrences_deterministically() {
-        let _guard = test_guard();
-        let a = derive_occurrence(42, "trace_cache.write");
-        let b = derive_occurrence(42, "trace_cache.write");
-        assert_eq!(a, b);
-        assert!((1..=8).contains(&a));
-        let _armed = arm("seed=42;trace_cache.write").unwrap();
-        for _ in 0..a.saturating_sub(1) {
-            assert!(!should_fire("trace_cache.write"));
-        }
-        assert!(should_fire("trace_cache.write"));
-    }
-
-    #[test]
     fn malformed_specs_are_rejected() {
         let _guard = test_guard();
         assert!(arm("no.such.site@1").is_err());
         assert!(arm("parallel.worker@0").is_err());
         assert!(arm("watchdog=250").is_err(), "retired term");
-        assert!(arm("seed=banana").is_err());
+        assert!(arm("seed=42").is_err(), "retired term");
         assert!(arm("parallel.worker@two").is_err());
         assert!(!active(), "a rejected spec arms nothing");
     }
@@ -487,7 +438,7 @@ mod tests {
             resolve("IBP_FAULTS", Some("parallel.worker@0")).2,
             ["warning: ignoring invalid IBP_FAULTS=\"parallel.worker@0\": \
               occurrence in \"parallel.worker@0\" is 1-based, got 0 \
-              (expected clauses like site@n;seed=s); using the default"]
+              (expected clauses like site or site@n); using the default"]
         );
         // `IBP_TRACE=1` names a journal under the results root.
         let journal = resolve("IBP_TRACE", Some("1")).0.trace.expect("journal path");

@@ -5,10 +5,10 @@
 //!
 //! * [`simulate`] — score one predictor over one trace (predict → compare →
 //!   update per indirect branch, §2's protocol); [`simulate_source_multi`]
-//!   (the per-event reference fold), [`simulate_kernel`] and
-//!   [`simulate_source_kernels`] are the streaming forms, folding over a
-//!   chunked [`ibp_trace::EventSource`] in constant memory, and
-//!   [`simulate_attributed`] adds the miss taxonomy of [`probe`];
+//!   (the per-event reference fold) and [`simulate_kernel`] are the
+//!   streaming forms, folding over a chunked [`ibp_trace::EventSource`] in
+//!   constant memory, and [`simulate_attributed`] adds the miss taxonomy
+//!   of [`probe`];
 //! * [`Suite`] — the 17-benchmark suite with per-benchmark rates and the
 //!   paper's group averages (`AVG`, `AVG-OO`, …, Table 3 semantics);
 //! * [`engine`] — the memoizing sweep engine: flattens (config ×
@@ -59,10 +59,7 @@ mod suite;
 pub mod trace_cache;
 
 pub use parallel::parallel_map;
-pub use run::{
-    simulate, simulate_attributed, simulate_kernel, simulate_source_kernels, simulate_source_multi,
-    RunStats,
-};
+pub use run::{simulate, simulate_attributed, simulate_kernel, simulate_source_multi, RunStats};
 pub use suite::{Suite, SuiteResult};
 
 /// Serialises the unit tests that touch process-global state: armed fault

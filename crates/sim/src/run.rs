@@ -138,7 +138,7 @@ pub fn simulate_kernel<S: EventSource + ?Sized>(
 /// # Errors
 ///
 /// Propagates the source's I/O or parse failures.
-pub fn simulate_source_kernels<S: EventSource + ?Sized>(
+pub(crate) fn simulate_source_kernels<S: EventSource + ?Sized>(
     source: &mut S,
     kernels: &mut [FoldKernel],
     warmup: u64,

@@ -3,7 +3,7 @@
 //! A `ReplayOracle` holds the trace's indirect-target sequence: `predict`
 //! answers for the next target and `update` advances the index, so it stays
 //! aligned through any warm-up. Folded under `FoldKernel::Dyn` through each
-//! of the five `simulate*` entry points, over materialised and streamed
+//! of the four public `simulate*` entry points, over materialised and streamed
 //! traces, at every probe level, with the trace cache off and on, it must
 //! score exactly `events − warmup` events. The exact oracle must hit every
 //! one; one always predicting a wrong target must miss every one as
@@ -22,19 +22,17 @@ use ibp_obs::json::Json;
 use ibp_obs::{journal, Kind, Record};
 use ibp_sim::probe::{Attribution, ProbePolicy};
 use ibp_sim::{
-    simulate, simulate_attributed, simulate_kernel, simulate_source_kernels, simulate_source_multi,
-    trace_cache, RunStats,
+    simulate, simulate_attributed, simulate_kernel, simulate_source_multi, trace_cache, RunStats,
 };
 use ibp_trace::{Addr, EventSource, Trace, TraceEvent};
 use ibp_workload::Benchmark;
 
 const EVENTS: u64 = 3_000;
 
-const ENTRY_POINTS: [&str; 5] = [
+const ENTRY_POINTS: [&str; 4] = [
     "simulate",
     "simulate_source_multi",
     "simulate_kernel",
-    "simulate_source_kernels",
     "simulate_attributed",
 ];
 
@@ -128,13 +126,6 @@ fn fold(
             let mut kernel = FoldKernel::from_boxed(boxed);
             (
                 simulate_kernel(source, &mut kernel, warmup).expect("source"),
-                None,
-            )
-        }
-        (3, _) => {
-            let mut kernels = [FoldKernel::from_boxed(boxed)];
-            (
-                simulate_source_kernels(source, &mut kernels, warmup).expect("source")[0],
                 None,
             )
         }
@@ -241,9 +232,9 @@ fn check_grid(answer: Answer) {
             }
         }
     }
-    // 2 benchmarks × 4 feeds × 3 probe levels × 4 entry points × 2
+    // 2 benchmarks × 4 feeds × 3 probe levels × 3 entry points × 2
     // warm-ups, plus the façade over the materialised feeds at warm-up 0.
-    assert_eq!(runs, 2 * 4 * 3 * 4 * 2 + 2 * 2 * 3);
+    assert_eq!(runs, 2 * 4 * 3 * 3 * 2 + 2 * 2 * 3);
     let _ = std::fs::remove_dir_all(&corpus);
 }
 

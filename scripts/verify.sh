@@ -22,8 +22,8 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

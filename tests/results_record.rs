@@ -1,8 +1,9 @@
 //! Guards on the checked-in paper record: the CSVs under `results/` must
-//! come from a run at the canonical trace length, and the headline tables
+//! come from a run at the canonical trace length, each directory must hold
+//! exactly the tables a run numbers `00`..`n-1`, and the headline tables
 //! in README.md and EXPERIMENTS.md must show the numbers those CSVs hold.
 //!
-//! Both checks read files only; they never simulate. Regenerate the record
+//! The checks read files only; they never simulate. Regenerate the record
 //! with `IBP_EVENTS=120000 cargo run --release -p ibp-bench --bin repro_all`
 //! and copy the `summary` figures into the two docs.
 
@@ -65,6 +66,34 @@ fn table1_2_csvs_are_at_the_canonical_length() {
                 path.display()
             );
         }
+    }
+}
+
+/// Each experiment writes its tables as `00_*.csv`, `01_*.csv`, … in
+/// order, so a directory whose prefixes are not exactly `00`..`n-1`, each
+/// once, holds a table no current run writes (or lost one it does).
+#[test]
+fn every_results_dir_numbers_its_csvs_without_gaps_or_repeats() {
+    let root = repo_path("results");
+    let mut dirs: Vec<PathBuf> = fs::read_dir(&root)
+        .unwrap_or_else(|e| panic!("read {}: {e}", root.display()))
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    assert!(!dirs.is_empty(), "no directories under {}", root.display());
+    for dir in dirs {
+        let mut prefixes: Vec<String> = fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|name| name.ends_with(".csv"))
+            .map(|name| name.split('_').next().unwrap_or_default().to_owned())
+            .collect();
+        prefixes.sort();
+        let expected: Vec<String> = (0..prefixes.len()).map(|i| format!("{i:02}")).collect();
+        assert_eq!(prefixes, expected, "{}: CSV prefixes", dir.display());
     }
 }
 
